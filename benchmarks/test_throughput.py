@@ -1,6 +1,9 @@
 """Throughput baselines: batching vs the seed path, shard scaling, resharding.
 
-Three series land in ``BENCH_throughput.json`` at the repository root:
+Each run writes its series to ``BENCH_throughput.fresh.json`` at the
+repository root (git-ignored). The committed ``BENCH_throughput.json`` is the
+pinned reference — the CI wall floor reads it and no run rewrites it; re-pin
+by copying the fresh file over it. The series:
 
 * **batched vs unbatched** — every app driven by the multi-client workload
   harness once issuing one RPC round trip per operation (the seed behavior)
@@ -53,9 +56,9 @@ Three series land in ``BENCH_throughput.json`` at the repository root:
 Assertions here are **deterministic**: they compare simulated-time ratios and
 message counts, which depend only on protocol structure, never on container
 CPU contention — so they are safe to enforce in CI smoke mode too. Wall-clock
-throughput is still measured (best of ``REPEATS`` runs) and recorded for the
-trajectory, but not asserted: under a noisy scheduler a wall ratio is a fact
-about the machine, not the code. Set ``THROUGHPUT_SMOKE=1`` for a
+throughput is still measured (the median of ``REPEATS`` runs) and recorded
+for the trajectory, but not asserted: under a noisy scheduler a wall ratio is
+a fact about the machine, not the code. Set ``THROUGHPUT_SMOKE=1`` for a
 seconds-fast smoke run with small operation counts — CI uses this mode to
 publish the JSON as a workflow artifact without slowing the pipeline.
 """
@@ -165,8 +168,9 @@ AUDIT_APP = "keybackup"
 AUDIT_SEED = 2150
 AUDIT_CLIENTS = (1, 10, 100, 1000)
 
-OUTPUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "BENCH_throughput.json")
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.fresh.json")
 
 _RESULTS: dict[str, dict] = {}
 _SHARDED: dict[str, dict] = {}
@@ -179,7 +183,13 @@ _AUDIT: dict[str, dict] = {}
 
 def _measure(app: str, batched: bool, shards: int = 1,
              service_time: float = 0.0) -> dict:
-    best = None
+    """Run ``REPEATS`` seeds (2022, 2023, ...) of one configuration.
+
+    Sim figures are deterministic per seed, so they come from the seed-2022
+    run; the wall rate is the median over all repeats. Picking one run by
+    wall rate would let host noise choose the sim figures.
+    """
+    reports = []
     for repeat in range(REPEATS):
         report = MultiClientWorkload(
             app, num_clients=OPS[app], ops_per_client=1, seed=2022 + repeat,
@@ -191,15 +201,17 @@ def _measure(app: str, batched: bool, shards: int = 1,
             f"{report.failed} operations failed: {report.failures[:3]}"
         )
         assert report.consistent, report.consistency_issues
-        if best is None or report.ops_per_sec > best.ops_per_sec:
-            best = report
+        reports.append(report)
+    seeded = reports[0]
     return {
-        "ops": best.ops,
-        "ops_per_sec": round(best.ops_per_sec, 1),
-        "wall_seconds": round(best.wall_seconds, 4),
-        "messages_sent": best.messages_sent,
-        "sim_seconds": round(best.sim_seconds, 6),
-        "sim_ops_per_sec": round(best.sim_ops_per_sec, 1),
+        "ops": seeded.ops,
+        "ops_per_sec": round(statistics.median(
+            report.ops_per_sec for report in reports), 1),
+        "wall_seconds": round(statistics.median(
+            report.wall_seconds for report in reports), 4),
+        "messages_sent": seeded.messages_sent,
+        "sim_seconds": round(seeded.sim_seconds, 6),
+        "sim_ops_per_sec": round(seeded.sim_ops_per_sec, 1),
     }
 
 
@@ -371,7 +383,7 @@ def wall_floor_holds(measured_ops_per_sec: float,
 def _pinned_wall_reference() -> float | None:
     """The committed parallel rate from BENCH_throughput.json, if present."""
     try:
-        with open(OUTPUT_PATH, encoding="utf-8") as handle:
+        with open(COMMITTED_PATH, encoding="utf-8") as handle:
             committed = json.load(handle)
         return float(committed["wall"][WALL_APP]["parallel"]["ops_per_sec"])
     except (OSError, KeyError, TypeError, ValueError):
@@ -613,7 +625,7 @@ def test_audit_checkpoint_cost_sublinear():
 
 
 def test_write_throughput_baseline():
-    """Aggregate the per-app results into BENCH_throughput.json."""
+    """Aggregate the per-app results into BENCH_throughput.fresh.json."""
     missing = [app for app in OPS if app not in _RESULTS]
     missing += [app for app in SHARD_APPS if app not in _SHARDED]
     missing += [app for app in RESHARD_APPS if app not in _RESHARD]
@@ -636,7 +648,7 @@ def test_write_throughput_baseline():
     baseline = {
         "benchmark": "throughput",
         "smoke": SMOKE,
-        "repeats_best_of": REPEATS,
+        "repeats_median_of": REPEATS,
         "batch_size": BATCH_SIZE,
         "rpc_attempts": 1,
         "apps": _RESULTS,

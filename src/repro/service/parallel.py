@@ -67,7 +67,7 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
     from repro.crypto import rng as crypto_rng
     from repro.net.latency import lan_profile
     from repro.net.transport import Network
-    from repro.sim.workload import _ADAPTERS
+    from repro.sim.drivers import make_driver
 
     # The DRBG context stays entered for the worker's lifetime: the build
     # consumes the same draw sequence as the parent's build (identical keys),
@@ -75,8 +75,10 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
     rng_context = crypto_rng.deterministic(seed)
     rng_context.__enter__()
     try:
-        adapter = _ADAPTERS[app](seed, ops, shards=shards)
-        plane = adapter.plane
+        # The load harness's own driver build, so keys and layout match
+        # the parent's plane.
+        plane = make_driver(app, seed, ops, shards=shards,
+                            session="workload").plane
         network = Network(clock=plane.clock, default_latency=lan_profile())
         servers = {}
         for shard in plane.shards:
@@ -113,7 +115,7 @@ class ParallelShardExecutor:
         app: workload application name (``keybackup``, ``prio``, ...).
         seed: the workload seed — workers rebuild their deployments under
             this seed, which is what makes their state match the parent's.
-        ops: total operation count (the adapters materialize per-op inputs).
+        ops: total operation count (the drivers materialize per-op inputs).
         shards: shard count of the service plane.
         workers: process count; shard ``i`` is owned by worker
             ``i % workers``, so extra workers beyond the shard count idle.

@@ -1,11 +1,13 @@
-"""Application drivers: one end-to-end workload adapter per app.
+"""Application drivers: the one per-app workload definition.
 
-A driver builds its application's deployment, executes one seeded workload
-operation at a time through the *public client API* (so requests traverse the
-full framework → enclave → sandbox path, over the simulated network once the
-runner routes it), and checks the application-specific safety invariants at
-the end of the run.
-"""
+A driver builds its app's deployment, draws a seeded list of operations (one
+per simulated client request), and runs them through the app's *public client
+API* — synchronously (:meth:`ScenarioDriver.step`), as a batched span
+(:meth:`ScenarioDriver.run_span`), or as a discrete-event generator
+(:meth:`ScenarioDriver.op_task`) — then checks the end state. The load
+harness, the scenario engine (both through :class:`~repro.sim.harness.OpLoop`)
+and the :class:`~repro.service.parallel.ParallelShardExecutor` workers all
+build their deployments from these classes."""
 
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from repro.core.client import AuditingClient
 from repro.crypto.bls import BlsThresholdScheme
 from repro.crypto.shamir import Share
 from repro.errors import ApplicationError, ReproError, ThresholdError
-from repro.sim.scenarios.spec import InvariantResult
 from repro.sim.workload import WorkloadGenerator
 
 __all__ = [
@@ -31,45 +32,84 @@ __all__ = [
     "ThresholdSignDriver",
     "PrioDriver",
     "OdohDriver",
+    "DRIVERS",
     "make_driver",
 ]
 
 
-class ScenarioDriver:
-    """Base class: builds a deployment and drives one operation at a time.
+def _invariant(name: str, ok: bool, detail: str):
+    # Imported on use: the scenario package imports this module, and the
+    # parallel workers that build drivers never load the scenario engine.
+    from repro.sim.scenarios.spec import InvariantResult
 
-    ``shards`` deploys the app across that many service-plane shards; the
-    driver's ``plane`` is what the runner routes over the network (for the
-    classic ``shards=1`` layout it wraps exactly the legacy deployment).
+    return InvariantResult(name, ok, detail)
+
+
+class ScenarioDriver:
+    """Base class: builds a deployment and drives its seeded operations.
+
+    ``shards`` deploys the app across that many service-plane shards, placed
+    round-robin across ``regions`` when given; the driver's ``plane`` is what
+    the harness routes (for the classic ``shards=1`` layout it wraps exactly
+    the single deployment). ``session`` names the harness driving the run:
+    prio folds it into its client's session tag, which fixes each seed's
+    submission→shard routing.
     """
 
     app_name = "?"
+    # Set by the harness when fault rules or events are active: batched
+    # spans then trade the minimal quorum for failover headroom.
+    robust = False
 
     def __init__(self, seed: int, ops: int, shards: int = 1,
-                 regions: tuple = ()):
+                 regions: tuple = (), session: str = "scenario"):
         self.seed = seed
         self.ops = ops
         self.shards = shards
         self.regions = tuple(regions)
+        self.session = session
         self.workload = WorkloadGenerator(seed)
-        self.deployment = None  # set by subclasses (the primary shard)
-        self.plane = None  # set by subclasses (the sharded service plane)
+        self._build()
+
+    def _build(self) -> None:
+        """Deploy the app, open its client, and draw the op inputs."""
+        raise NotImplementedError
+
+    def _serve(self, service) -> None:
+        self.service = service
+        self.deployment = service.deployment  # the primary shard
+        self.plane = service.plane
+
+    def routing_key(self, op_index: int):
+        """The key the plane routes operation ``op_index`` by."""
+        raise NotImplementedError
 
     def step(self, op_index: int) -> None:
         """Run workload operation ``op_index``; raises ``ReproError`` on failure."""
+        raise NotImplementedError
+
+    def run_span(self, start: int, count: int) -> list:
+        """Run ops ``start .. start+count`` through the batched API.
+
+        Returns one outcome per op, in order: an exception instance for a
+        failed op, anything else for a completed one.
+        """
         raise NotImplementedError
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         """The op as a generator for the discrete-event loop.
 
         Same wire traffic and bookkeeping as :meth:`step`, but yields while
-        its requests are outstanding so other ops can interleave. Only used
-        by concurrent scenarios.
+        its requests are outstanding so other ops can interleave.
         """
         raise NotImplementedError
 
-    def finish(self, ctx) -> list[InvariantResult]:
-        """Application-specific safety invariants, checked after the workload."""
+    def consistency_issues(self) -> list[str]:
+        """End-of-run state problems the load harness reports (none by default)."""
+        return []
+
+    def finish(self, ctx) -> list:
+        """Application-specific safety invariants, checked after a scenario."""
         raise NotImplementedError
 
     def audit_outcome(self):
@@ -95,33 +135,46 @@ class KeyBackupDriver(ScenarioDriver):
 
     app_name = "keybackup"
 
-    def __init__(self, seed: int, ops: int, num_domains: int = 4, threshold: int = 3,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = KeyBackupDeployment(num_domains=num_domains,
-                                           threshold=threshold, shards=shards,
-                                           regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
+    def _build(self) -> None:
+        self._serve(KeyBackupDeployment(num_domains=4, threshold=3,
+                                        shards=self.shards, regions=self.regions))
         self.client = KeyBackupClient(self.service, audit_before_use=False)
-        self._users = self.workload.user_ids(ops)
-        self._secrets = self.workload.secrets(ops, bits=248)
+        self.items = list(zip(self.workload.user_ids(self.ops),
+                              self.workload.secrets(self.ops, bits=248)))
         self.backed_up: list[tuple[str, int]] = []
 
+    def routing_key(self, op_index: int):
+        return self.items[op_index][0]
+
     def step(self, op_index: int) -> None:
-        user = self._users[op_index]
-        secret = self._secrets[op_index]
+        user, secret = self.items[op_index]
         self.client.backup_key(user, secret)
         self.backed_up.append((user, secret))
-        recovered = self.client.recover_key_any(user)
-        if recovered != secret:
+        if self.client.recover_key_any(user) != secret:
             raise ApplicationError(f"recovered key for {user!r} does not match the original")
+
+    def run_span(self, start: int, count: int) -> list:
+        span = self.items[start:start + count]
+        outcomes = self.client.backup_keys(span)
+        stored = [position for position, outcome in enumerate(outcomes)
+                  if not isinstance(outcome, Exception)]
+        self.backed_up.extend(span[position] for position in stored)
+        recovered = self.client.recover_keys([span[position][0] for position in stored])
+        for position, value in zip(stored, recovered):
+            if isinstance(value, Exception):
+                outcomes[position] = value
+            elif value != span[position][1]:
+                outcomes[position] = ApplicationError(
+                    f"recovered key for {span[position][0]!r} does not match"
+                )
+            else:
+                outcomes[position] = True
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import keybackup_op
 
-        user = self._users[op_index]
-        secret = self._secrets[op_index]
+        user, secret = self.items[op_index]
         # backed_up records at store-completion (not op completion): the
         # record-conservation check must count a user whose shares all
         # landed even if the op's recover leg later failed.
@@ -129,11 +182,11 @@ class KeyBackupDriver(ScenarioDriver):
             self.client, user, secret, timeout=timeout,
             on_stored=lambda: self.backed_up.append((user, secret)))
 
-    def finish(self, ctx) -> list[InvariantResult]:
+    def finish(self, ctx) -> list:
         summary = self.service.simulate_developer_compromise()
         breached = summary["shares_recoverable"]
         ok = breached < self.service.threshold and not summary["key_recoverable"]
-        invariants = [InvariantResult(
+        invariants = [_invariant(
             "key-stays-secret-below-threshold", ok,
             f"attacker reads {breached} of {self.service.num_domains} shares, "
             f"threshold is {self.service.threshold}",
@@ -142,7 +195,7 @@ class KeyBackupDriver(ScenarioDriver):
             invariants.append(self._conservation_invariant())
         return invariants
 
-    def _conservation_invariant(self) -> InvariantResult:
+    def _conservation_invariant(self):
         """Across the epoch boundary: every backed-up key recoverable, no
         user's share set authoritative on two shards."""
         lost = []
@@ -170,7 +223,7 @@ class KeyBackupDriver(ScenarioDriver):
             detail = f"records lost across the epoch boundary: {lost[:3]}"
         elif duplicated:
             detail = f"records duplicated across shards: {duplicated[:3]}"
-        return InvariantResult("reshard-conserves-records", ok, detail)
+        return _invariant("reshard-conserves-records", ok, detail)
 
 
 class ThresholdSignDriver(ScenarioDriver):
@@ -178,35 +231,36 @@ class ThresholdSignDriver(ScenarioDriver):
 
     app_name = "threshold_sign"
 
-    def __init__(self, seed: int, ops: int, threshold: int = 2, num_signers: int = 3,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = CustodyDeployment(threshold=threshold, num_signers=num_signers,
-                                         keygen_seed=seed.to_bytes(8, "big"),
-                                         shards=shards, regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
+    def _build(self) -> None:
+        self._serve(CustodyDeployment(threshold=2, num_signers=3,
+                                      keygen_seed=self.seed.to_bytes(8, "big"),
+                                      shards=self.shards, regions=self.regions))
         self.client = CustodyClient(self.service, audit_before_use=False)
-        self._messages = self.workload.messages(ops)
+        self._messages = self.workload.messages(self.ops)
+
+    def routing_key(self, op_index: int):
+        return self._messages[op_index]
 
     def step(self, op_index: int) -> None:
-        transaction = self.client.sign_transaction_failover(self._messages[op_index])
-        if not self.client.verify(transaction):
-            raise ApplicationError("threshold signature did not verify")
+        # The failover path verifies the combined signature before returning.
+        self.client.sign_transaction_failover(self._messages[op_index])
+
+    def run_span(self, start: int, count: int) -> list:
+        # Under faults, collect shares from every signer so per-message
+        # failover survives a crashed or compromised domain; on a clean
+        # network the minimal quorum signs (matching the unbatched path,
+        # whose failover also stops after ``threshold`` successes).
+        signers = (list(range(1, self.service.num_signers + 1))
+                   if self.robust else None)
+        return self.client.sign_transactions(self._messages[start:start + count],
+                                             signer_indices=signers)
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import sign_op
 
-        def task():
-            transaction = yield from sign_op(self.client,
-                                             self._messages[op_index],
-                                             timeout=timeout)
-            if not self.client.verify(transaction):
-                raise ApplicationError("threshold signature did not verify")
+        return sign_op(self.client, self._messages[op_index], timeout=timeout)
 
-        return task()
-
-    def finish(self, ctx) -> list[InvariantResult]:
+    def finish(self, ctx) -> list:
         # Steal every key share the fallen TEEs expose and try to sign with
         # them alone: below the threshold the forgery must be impossible.
         # Shares are replicated across shards, so stealing signer i's share on
@@ -235,13 +289,13 @@ class ThresholdSignDriver(ScenarioDriver):
             detail = (f"attacker holds {len(stolen)} of the {self.service.threshold} "
                       "shares needed; forgery attempt rejected" if ok else
                       "forgery with sub-threshold shares unexpectedly combined")
-        invariants = [InvariantResult("stolen-shares-cannot-sign-below-threshold",
-                                      ok, detail)]
+        invariants = [_invariant("stolen-shares-cannot-sign-below-threshold",
+                                 ok, detail)]
         if ctx.resharded:
             invariants.append(self._reshard_signing_invariant(ctx))
         return invariants
 
-    def _reshard_signing_invariant(self, ctx) -> InvariantResult:
+    def _reshard_signing_invariant(self, ctx):
         """A grown shard's replicated signer group signs under the same key."""
         old_count = min(r.old_shard_count for r in ctx.reshard_reports)
         probe = None
@@ -251,17 +305,17 @@ class ThresholdSignDriver(ScenarioDriver):
                 probe = candidate
                 break
         if probe is None:
-            return InvariantResult(
+            return _invariant(
                 "reshard-preserves-signing", False,
                 "no probe message routed to a grown shard (ring broken?)")
         try:
             transaction = self.client.sign_transaction_failover(probe)
         except ReproError as exc:
-            return InvariantResult(
+            return _invariant(
                 "reshard-preserves-signing", False,
                 f"signing on a grown shard failed: {type(exc).__name__}")
         ok = self.client.verify(transaction)
-        return InvariantResult(
+        return _invariant(
             "reshard-preserves-signing", ok,
             f"shard {self.plane.shard_for(probe)} (grown this epoch) signed "
             "under the original group public key" if ok else
@@ -273,37 +327,51 @@ class PrioDriver(ScenarioDriver):
 
     app_name = "prio"
 
-    def __init__(self, seed: int, ops: int, num_servers: int = 3, max_value: int = 100,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = PrivateAggregationDeployment(num_servers=num_servers,
-                                                    max_value=max_value,
-                                                    shards=shards,
-                                                    regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
+    def _build(self) -> None:
+        self._serve(PrivateAggregationDeployment(num_servers=3, max_value=100,
+                                                 shards=self.shards,
+                                                 regions=self.regions))
         # A fixed session tag keeps submission→shard routing (and therefore
-        # the whole scenario report) deterministic per seed.
-        self.client = PrivateAggregationClient(self.service, audit_before_use=False,
-                                               session_tag=f"scenario-{seed}")
-        self._values = self.workload.telemetry_values(ops, 0, max_value)
+        # the whole run's report) deterministic per seed; real clients
+        # default to a random tag per session.
+        self.client = PrivateAggregationClient(
+            self.service, audit_before_use=False,
+            session_tag=f"{self.session}-{self.seed}")
+        self._values = self.workload.telemetry_values(self.ops, 0, 100)
         self.accepted_values: list[int] = []
         self.torn_submissions = 0
         self.failed_submissions = 0
+
+    def routing_key(self, op_index: int):
+        # One submission per op, counter starts at zero, so the op's index
+        # is its submission index.
+        return self.client.submission_key(op_index)
+
+    def _note_failure(self, error: Exception) -> None:
+        if isinstance(error, PartialSubmissionError):
+            self.torn_submissions += 1
+        else:
+            # A "clean" failure from the client's view — but a server may
+            # still have accepted a share whose response was lost in flight.
+            self.failed_submissions += 1
 
     def step(self, op_index: int) -> None:
         value = self._values[op_index]
         try:
             self.client.submit(value)
-        except PartialSubmissionError:
-            self.torn_submissions += 1
-            raise
-        except Exception:
-            # A "clean" failure from the client's view — but a server may
-            # still have accepted a share whose response was lost in flight.
-            self.failed_submissions += 1
+        except ReproError as exc:
+            self._note_failure(exc)
             raise
         self.accepted_values.append(value)
+
+    def run_span(self, start: int, count: int) -> list:
+        outcomes = self.client.submit_many(self._values[start:start + count])
+        for offset, outcome in enumerate(outcomes):
+            if outcome is True:
+                self.accepted_values.append(self._values[start + offset])
+            else:
+                self._note_failure(outcome)
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import prio_op
@@ -312,59 +380,70 @@ class PrioDriver(ScenarioDriver):
             value = self._values[op_index]
             try:
                 yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except PartialSubmissionError:
-                self.torn_submissions += 1
-                raise
-            except Exception:
-                self.failed_submissions += 1
+            except ReproError as exc:
+                self._note_failure(exc)
                 raise
             self.accepted_values.append(value)
 
         return task()
 
-    def finish(self, ctx) -> list[InvariantResult]:
+    def consistency_issues(self) -> list[str]:
+        if self.torn_submissions or self.failed_submissions:
+            # A failed or torn submission may have reached a subset of the
+            # servers; either they still agree and the sum is exact, or the
+            # aggregate must refuse. Both are consistent outcomes.
+            try:
+                self.service.aggregate()
+            except ApplicationError:
+                pass
+            return []
+        result = self.service.aggregate()
+        expected = sum(self.accepted_values) % FIELD_MODULUS
+        issues = []
+        if result["sum"] != expected:
+            issues.append(
+                f"aggregate sum {result['sum']} != expected {expected} "
+                f"over {len(self.accepted_values)} accepted submissions"
+            )
+        if result["submissions"] != len(self.accepted_values):
+            issues.append(
+                f"servers counted {result['submissions']} submissions, "
+                f"client had {len(self.accepted_values)} accepted"
+            )
+        return issues
+
+    def finish(self, ctx) -> list:
         invariants = []
         # Aggregation needs every server (the sum of all share vectors), so a
         # compromised or otherwise refusing server is a *refusal*, never a
         # silently wrong sum — the safe outcome in every branch below.
-        if self.torn_submissions == 0 and self.failed_submissions == 0:
-            try:
-                result = self.service.aggregate()
-            except ApplicationError:
-                raise
-            except ReproError as exc:
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", True,
-                    "aggregation refused to answer rather than publish a sum "
-                    f"from an untrusted fleet ({type(exc).__name__})",
-                ))
-            else:
-                expected = sum(self.accepted_values) % FIELD_MODULUS
-                ok = (result["sum"] == expected
-                      and result["submissions"] == len(self.accepted_values))
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", ok,
-                    f"{len(self.accepted_values)} submissions aggregated exactly",
-                ))
-        elif self.torn_submissions == 0:
+        if self.torn_submissions == 0:
             # Failed submissions may or may not have reached individual
             # servers (a lost response looks like a clean failure to the
             # client); either the servers still agree and the aggregate is
-            # exact, or they disagree and aggregation must refuse.
+            # exact, or they disagree and aggregation must refuse. With no
+            # failures at all, an ApplicationError is a real defect.
             expected = sum(self.accepted_values) % FIELD_MODULUS
             try:
                 result = self.service.aggregate()
             except ReproError as exc:
-                invariants.append(InvariantResult(
+                if not self.failed_submissions:
+                    if isinstance(exc, ApplicationError):
+                        raise
+                    detail = ("aggregation refused to answer rather than "
+                              "publish a sum from an untrusted fleet")
+                else:
+                    detail = (f"{self.failed_submissions} failed submissions "
+                              "(or an untrusted server) left aggregation "
+                              "refusing to answer")
+                invariants.append(_invariant(
                     "aggregate-matches-accepted-submissions", True,
-                    f"{self.failed_submissions} failed submissions (or an "
-                    "untrusted server) left aggregation refusing to answer "
-                    f"({type(exc).__name__})",
+                    f"{detail} ({type(exc).__name__})",
                 ))
             else:
                 ok = (result["sum"] == expected
                       and result["submissions"] == len(self.accepted_values))
-                invariants.append(InvariantResult(
+                invariants.append(_invariant(
                     "aggregate-matches-accepted-submissions", ok,
                     f"{len(self.accepted_values)} submissions aggregated exactly",
                 ))
@@ -374,13 +453,13 @@ class PrioDriver(ScenarioDriver):
             try:
                 self.service.aggregate()
             except ReproError:
-                invariants.append(InvariantResult(
+                invariants.append(_invariant(
                     "torn-submissions-detected", True,
                     f"{self.torn_submissions} torn submissions made the servers "
                     "disagree and aggregation refused to proceed",
                 ))
             else:
-                invariants.append(InvariantResult(
+                invariants.append(_invariant(
                     "torn-submissions-detected", False,
                     "servers disagreed on submissions but aggregation succeeded",
                 ))
@@ -389,7 +468,7 @@ class PrioDriver(ScenarioDriver):
             1 for domain in self.deployment.domains
             if domain.enclave is not None and domain.enclave.memory.breached
         )
-        invariants.append(InvariantResult(
+        invariants.append(_invariant(
             "no-single-server-learns-values", breached < total,
             f"{breached} of {total} aggregation servers readable by the attacker; "
             "individual values stay hidden while any server remains honest",
@@ -402,25 +481,41 @@ class OdohDriver(ScenarioDriver):
 
     app_name = "odoh"
 
-    def __init__(self, seed: int, ops: int, shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self._names = self.workload.dns_queries(ops)
+    def _build(self) -> None:
+        self._names = self.workload.dns_queries(self.ops)
         self.records = {
             name: f"10.{i // 250}.{i % 250}.7" for i, name in enumerate(self._names)
         }
-        self.service = ObliviousDnsDeployment(records=self.records, shards=shards,
-                                              regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
+        self._serve(ObliviousDnsDeployment(records=self.records, shards=self.shards,
+                                           regions=self.regions))
         self.client = ObliviousDnsClient(self.service, audit_before_use=False)
         self.resolved = 0
 
-    def step(self, op_index: int) -> None:
-        name = self._names[op_index]
-        response = self.client.resolve(name)
+    def routing_key(self, op_index: int):
+        return self._names[op_index]
+
+    def _check(self, name: str, response) -> None:
         if not response.found or response.address != self.records[name]:
             raise ApplicationError(f"wrong answer for {name!r}")
         self.resolved += 1
+
+    def step(self, op_index: int) -> None:
+        name = self._names[op_index]
+        self._check(name, self.client.resolve(name))
+
+    def run_span(self, start: int, count: int) -> list:
+        span = self._names[start:start + count]
+        outcomes = self.client.resolve_many(span)
+        for position, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                continue
+            try:
+                self._check(span[position], outcome)
+            except ApplicationError as exc:
+                outcomes[position] = exc
+            else:
+                outcomes[position] = True
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import odoh_op
@@ -428,13 +523,20 @@ class OdohDriver(ScenarioDriver):
         def task():
             name = self._names[op_index]
             response = yield from odoh_op(self.client, name, timeout=timeout)
-            if not response.found or response.address != self.records[name]:
-                raise ApplicationError(f"wrong answer for {name!r}")
-            self.resolved += 1
+            self._check(name, response)
 
         return task()
 
-    def finish(self, ctx) -> list[InvariantResult]:
+    def consistency_issues(self) -> list[str]:
+        view = self.service.proxy_view()
+        leaked = [item for item in view if not isinstance(item, int)]
+        if leaked:
+            return [f"proxy recorded non-length data: {leaked[:3]!r}"]
+        if len(view) < self.resolved:
+            return [f"proxy view covers {len(view)} queries but {self.resolved} resolved"]
+        return []
+
+    def finish(self, ctx) -> list:
         view = self.service.proxy_view()
         leaked = [item for item in view if not isinstance(item, int)]
         names_seen = [item for item in view if item in self.records]
@@ -442,7 +544,7 @@ class OdohDriver(ScenarioDriver):
         # make this invariant vacuous, not satisfied. Migration traffic goes
         # operator→resolver, so a reshard must add *zero* names here.
         ok = not leaked and not names_seen and len(view) >= self.resolved
-        invariants = [InvariantResult(
+        invariants = [_invariant(
             "proxy-never-sees-query-names", ok,
             f"proxy recorded {len(view)} ciphertext lengths and zero names "
             f"across {self.resolved} resolutions",
@@ -451,7 +553,7 @@ class OdohDriver(ScenarioDriver):
             invariants.append(self._conservation_invariant())
         return invariants
 
-    def _conservation_invariant(self) -> InvariantResult:
+    def _conservation_invariant(self):
         """Across the epoch boundary: every record resolvable on exactly one
         shard, and resolvable through the full proxy path.
 
@@ -502,7 +604,7 @@ class OdohDriver(ScenarioDriver):
             detail = f"records duplicated across shards: {duplicated[:3]}"
         elif unresolvable:
             detail = f"records unresolvable after the reshard: {unresolvable[:3]}"
-        return InvariantResult("reshard-conserves-records", ok, detail)
+        return _invariant("reshard-conserves-records", ok, detail)
 
     def audit_outcome(self):
         """Audit proxy and resolver individually (they run different apps)."""
@@ -526,21 +628,22 @@ class OdohDriver(ScenarioDriver):
         return ok, kinds
 
 
-_DRIVERS = {
-    "keybackup": KeyBackupDriver,
-    "threshold_sign": ThresholdSignDriver,
-    "prio": PrioDriver,
-    "odoh": OdohDriver,
+DRIVERS = {
+    driver.app_name: driver
+    for driver in (KeyBackupDriver, ThresholdSignDriver, PrioDriver, OdohDriver)
 }
 
 
 def make_driver(app: str, seed: int, ops: int, shards: int = 1,
-                regions: tuple = ()) -> ScenarioDriver:
+                regions: tuple = (), session: str = "scenario") -> ScenarioDriver:
     """Instantiate the driver for ``app`` with a seeded workload of ``ops``
     operations, deployed across ``shards`` service-plane shards (optionally
-    placed round-robin across ``regions``)."""
+    placed round-robin across ``regions``) for the harness named by
+    ``session``."""
     try:
-        factory = _DRIVERS[app]
+        factory = DRIVERS[app]
     except KeyError:
-        raise ValueError(f"no scenario driver for app {app!r}") from None
-    return factory(seed, ops, shards=shards, regions=tuple(regions))
+        raise ValueError(f"no driver for app {app!r} "
+                         f"(expected one of {sorted(DRIVERS)})") from None
+    return factory(seed, ops, shards=shards, regions=tuple(regions),
+                   session=session)

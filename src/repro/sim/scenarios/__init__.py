@@ -26,7 +26,7 @@ from repro.sim.scenarios.matrix import (
     sharded_matrix,
 )
 from repro.sim.scenarios.pinned import pinned_matrix
-from repro.sim.scenarios.apps import make_driver
+from repro.sim.drivers import make_driver
 
 __all__ = [
     "InvariantResult",

@@ -2,17 +2,18 @@
 
 The runner composes everything the engine needs for one scenario:
 
-1. build the application deployment through its normal (fault-free) setup path
-   — across ``scenario.shards`` service-plane shards when sharded;
-2. attach every trust domain of every shard to a simulated network and *route
-   all application traffic over it* (framed RPC bytes, at-most-once servers,
-   client retries);
-3. install the scenario's probabilistic fault rules on the network send path;
-4. drive the seeded workload one operation at a time, applying scheduled
-   events (partitions, crashes, compromises, malicious updates, live
-   reshards) at operation boundaries and recording per-operation simulated
-   latency;
-5. check the safety invariants: digest logs stayed append-only, audits end in
+1. build the application's driver (:mod:`repro.sim.drivers`) — its deployment
+   through the normal (fault-free) setup path, across ``scenario.shards``
+   service-plane shards when sharded;
+2. route it through :meth:`~repro.sim.harness.OpLoop.routed`: every trust
+   domain of every shard attached to a simulated network carrying *all
+   application traffic* (framed RPC bytes, at-most-once servers, client
+   retries), with the scenario's probabilistic fault rules on the send path;
+3. drive the seeded workload through the shared serial or concurrent op
+   loop, applying scheduled events (partitions, crashes, compromises,
+   malicious updates, live reshards, audits) at operation boundaries and
+   recording per-operation simulated latency;
+4. check the safety invariants: digest logs stayed append-only, audits end in
    the expected verdict (detecting every unannounced update and compromised
    TEE), epoch transitions committed with no key left unroutable, and the
    application-specific secrecy/conservation properties held.
@@ -20,321 +21,15 @@ The runner composes everything the engine needs for one scenario:
 
 from __future__ import annotations
 
-import random
-
-from repro.core.package import CodePackage
-from repro.errors import ReproError, ReshardError
-from repro.net.latency import geo_profile, lan_profile
-from repro.net.transport import Network
-from repro.sim.adversary import ScheduledCompromise
+from repro.errors import ReproError
 from repro.sim.coverage import CoverageRecorder
-from repro.sim.faults import (
-    CompromiseDomain,
-    CrashParty,
-    FaultPlan,
-    HealLink,
-    PartitionLink,
-    RecoverParty,
-    UnannouncedUpdate,
-)
+from repro.sim.drivers import make_driver
+from repro.sim.harness import OpLoop, ScenarioContext
 from repro.sim.metrics import summarize
-from repro.sim.scenarios.apps import make_driver
 from repro.sim.scenarios.spec import InvariantResult, Scenario, ScenarioReport
 from repro.transparency.log import DigestLog
 
 __all__ = ["ScenarioContext", "ScenarioRunner"]
-
-
-class _NullPhase:
-    """Stand-in phase window for contexts built without a recorder."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-class ScenarioContext:
-    """Mutable state scheduled events act on during a run."""
-
-    def __init__(self, network: Network, deployment, driver,
-                 compromise_schedule: ScheduledCompromise, client_address: str,
-                 plane=None, recorder: CoverageRecorder | None = None,
-                 rpc_attempts: int = 3):
-        self.network = network
-        self.deployment = deployment
-        self.driver = driver
-        self.compromise_schedule = compromise_schedule
-        self.client_address = client_address
-        self.plane = plane
-        self.recorder = recorder
-        self.rpc_attempts = rpc_attempts
-        self.current_op = 0
-        self.unannounced_digests: list[bytes] = []
-        self.reshard_reports: list = []
-        self.reshard_errors: list[str] = []
-        self.midrun_audits: list = []  # (op_index, ok, kinds) per AuditNow
-        self.epoch_audits: list = []  # dict per bundle per AuditEpoch
-        self.forged_epochs: list[int] = []  # artifact indices a forge rewrote
-        self.autoscaler = None
-        self._compromise_schedules = {0: compromise_schedule}
-        self._epoch_rpc = None
-
-    def resolve(self, party: str) -> str:
-        """Map a scenario party name to a network address.
-
-        ``"client"`` is the shared client endpoint; ``"domain:<i>"`` is trust
-        domain ``i``'s RPC address (on the primary shard). Sharded scenarios
-        additionally use ``"shard:<s>:domain:<i>"`` for shard ``s``'s domain
-        ``i`` and ``"shard:<s>:client"`` for that shard's client endpoint
-        (each shard sends from its own — migration traffic included).
-        """
-        if party == "client":
-            return self.client_address
-        if party.startswith("shard:"):
-            if self.plane is None:
-                raise ValueError(f"party {party!r} needs a sharded service")
-            _, shard_index, rest = party.split(":", 2)
-            shard_index = int(shard_index)
-            if shard_index < len(self.plane.shards):
-                shard_name = self.plane.shards[shard_index].name
-            elif self.plane.spec is not None:
-                # A shard a later ReshardService event will create: deployment
-                # names are deterministic, so the fault can be laid down on
-                # its addresses before the shard exists (e.g. a partition
-                # that hits the migration's import path the moment it forms).
-                shard_name = self.plane.spec.shard_name(shard_index)
-            else:
-                raise ValueError(f"party {party!r} names a nonexistent shard")
-            if rest == "client":
-                return f"{shard_name}-client"
-            if rest.startswith("domain:"):
-                return f"{shard_name}-domain-{int(rest.split(':', 1)[1])}"
-            raise ValueError(f"unknown scenario party {party!r}")
-        if party.startswith("domain:"):
-            return self.deployment.domains[int(party.split(":", 1)[1])].domain_id
-        raise ValueError(f"unknown scenario party {party!r}")
-
-    def compromise(self, domain_index: int, shard_index: int = 0) -> None:
-        """Exploit one domain's TEE at the current operation boundary."""
-        schedule = self._compromise_schedules.get(shard_index)
-        if schedule is None:
-            if self.plane is None:
-                raise ValueError("cannot compromise a shard without a plane")
-            schedule = ScheduledCompromise(self.plane.shards[shard_index])
-            self._compromise_schedules[shard_index] = schedule
-        schedule.compromise(domain_index, at_op=self.current_op)
-
-    def reshard(self, new_shard_count: int) -> None:
-        """Grow the service plane to ``new_shard_count`` shards, live.
-
-        A failed reshard is a *scenario outcome*, not a harness crash: a
-        planning abort leaves the old epoch serving (nothing to record), and
-        a mid-migration failure commits with the unmoved keys pinned — the
-        coordinator attaches its report to the error. Either way the run
-        continues and the invariants judge the resulting state.
-        """
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to reshard")
-        with self._migration_phase():
-            try:
-                self.reshard_reports.append(self.plane.reshard(new_shard_count))
-            except ReshardError as exc:
-                self.reshard_errors.append(str(exc))
-                report = getattr(exc, "report", None)
-                if report is not None:
-                    self.reshard_reports.append(report)
-        self._note_placement()
-
-    def finish_reshard(self) -> None:
-        """Drain keys a faulted reshard left pinned to their old shards."""
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to reshard")
-        with self._migration_phase():
-            try:
-                self.reshard_reports.append(self.plane.finish_reshard())
-            except ReshardError as exc:
-                self.reshard_errors.append(str(exc))
-                report = getattr(exc, "report", None)
-                if report is not None:
-                    self.reshard_reports.append(report)
-        self._note_placement()
-
-    def audit_now(self) -> None:
-        """Run a full transparency audit at this operation boundary.
-
-        Fired by :class:`~repro.sim.faults.AuditNow`: the probe races
-        whatever faults are live right now, and its evidence is folded into
-        the report's detected kinds (the end-of-run audit alone decides the
-        pass/fail verdict).
-        """
-        phase = (self.recorder.phase("mid-audit") if self.recorder is not None
-                 else _NullPhase())
-        with phase:
-            ok, kinds = self.driver.audit_outcome()
-        self.midrun_audits.append((self.current_op, ok, tuple(sorted(kinds))))
-
-    def audit_epochs(self) -> None:
-        """Fetch and verify every published epoch bundle over the network.
-
-        Fired by :class:`~repro.sim.faults.AuditEpoch`: the standalone
-        auditor — its own trust domain, holding only the coordinator's and
-        log's public keys — pulls each :class:`~repro.transparency.epochs.
-        EpochArtifact` from the coordinator's bundle endpoint through the
-        live fault rules and verifies it from the artifact alone. A fetch
-        the network defeats is recorded (``fetched=False``), never raised;
-        the end-of-run ``epoch-bundles-verify`` invariant independently
-        verifies everything in-process.
-        """
-        from repro.errors import RpcError, TimeoutError
-        from repro.transparency.auditor import AuditorService
-
-        publisher = getattr(self.plane, "epoch_publisher", None)
-        if publisher is None:
-            raise ValueError("scenario deployment publishes no epoch bundles")
-        server, client = self._epoch_transport(publisher)
-        phase = (self.recorder.phase("mid-audit") if self.recorder is not None
-                 else _NullPhase())
-        with phase:
-            auditor = AuditorService(publisher.coordinator_key,
-                                     publisher.log_key)
-            try:
-                count = int(client.call_with_retry("get_count", None,
-                                                   attempts=self.rpc_attempts))
-            except (RpcError, TimeoutError):
-                # The network defeated even the enumeration; record the
-                # starved probe so the report shows the audit ran dry.
-                self.epoch_audits.append({"op": self.current_op, "index": -1,
-                                          "forged": False, "fetched": False,
-                                          "ok": False, "failing": []})
-                return
-            for index in range(count):
-                entry = {"op": self.current_op, "index": index,
-                         "forged": index in self.forged_epochs}
-                try:
-                    payload = client.call_with_retry(
-                        "get_epoch", {"index": index},
-                        attempts=self.rpc_attempts)
-                except (RpcError, TimeoutError):
-                    entry.update(fetched=False, ok=False, failing=[])
-                else:
-                    verdict = auditor.verify(payload)
-                    entry.update(fetched=True, ok=verdict.ok,
-                                 failing=verdict.failing(),
-                                 epoch=verdict.epoch, kind=verdict.kind)
-                self.epoch_audits.append(entry)
-
-    def forge_epoch(self) -> None:
-        """Rewrite the latest bundle's first migrator digest and republish.
-
-        Fired by :class:`~repro.sim.faults.ForgeEpochDigest`: the
-        compromised-coordinator attack the auditor must provably catch. The
-        forged artifact's index is remembered so the invariants can demand
-        its rejection (and name the digest-conservation check) while every
-        honest bundle still verifies.
-        """
-        from repro.transparency.epochs import forge_migration_digest
-
-        publisher = getattr(self.plane, "epoch_publisher", None)
-        if publisher is None:
-            raise ValueError("scenario deployment publishes no epoch bundles")
-        forge_migration_digest(publisher)
-        self.forged_epochs.append(len(publisher.artifacts) - 1)
-
-    def _epoch_transport(self, publisher):
-        """The bundle endpoint (coordinator side) and the auditor's client.
-
-        Built once per run: the coordinator serves ``get_epoch`` from its
-        artifact list as plain data, and the auditor calls it from its own
-        network address — bundle fetches ride the same adversarial send
-        path, retries, and at-most-once dedup as every other RPC.
-        """
-        from repro.net.rpc import RpcClient, RpcServer
-
-        if self._epoch_rpc is None:
-            service = (self.plane.spec.name if self.plane.spec is not None
-                       else "service")
-            server = RpcServer(self.network.endpoint(f"{service}-epoch-log"),
-                               name="epoch-log")
-            server.register("get_count", lambda params: len(publisher.artifacts))
-            server.register(
-                "get_epoch",
-                lambda params: publisher.artifacts[int(params["index"])].to_dict())
-            client = RpcClient(self.network,
-                               self.network.endpoint(f"{service}-epoch-auditor"),
-                               server.endpoint.address)
-            self._epoch_rpc = (server, client)
-        return self._epoch_rpc
-
-    def _migration_phase(self):
-        if self.recorder is None:
-            return _NullPhase()
-        return self.recorder.phase("mid-migration")
-
-    def _note_placement(self) -> None:
-        if self.recorder is not None and self.plane is not None:
-            self.recorder.set_shards(self.plane.ring.shard_count)
-
-    def note_event(self, event) -> None:
-        """Tell the coverage recorder what an applied event did.
-
-        Stateful conditions (partition/crash/compromise — the unannounced
-        update is developer-side compromise) stay *active* for coverage
-        until the matching heal/recover fires; migration, audit, and
-        placement effects are recorded inside the ``ctx`` methods the event
-        called, so they need nothing here.
-        """
-        if self.recorder is None:
-            return
-        if isinstance(event, PartitionLink):
-            self.recorder.activate("partition")
-        elif isinstance(event, HealLink):
-            self.recorder.deactivate("partition")
-        elif isinstance(event, CrashParty):
-            self.recorder.activate("crash")
-        elif isinstance(event, RecoverParty):
-            self.recorder.deactivate("crash")
-        elif isinstance(event, (CompromiseDomain, UnannouncedUpdate)):
-            self.recorder.activate("compromise")
-
-    def enable_autoscaler(self, policy=None) -> None:
-        """Hand the shard count to the elastic control loop, mid-run.
-
-        Fired by :class:`~repro.sim.faults.AutoscaleEnabled`. The runner's
-        monitor task (spawned for concurrent scenarios carrying that event)
-        starts sampling and deciding the moment this is set.
-        """
-        from repro.service.autoscaler import Autoscaler
-
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to scale")
-        if self.autoscaler is None:
-            self.autoscaler = Autoscaler(self.plane, policy)
-
-    @property
-    def resharded(self) -> bool:
-        """Whether any epoch transition ran during this scenario."""
-        return bool(self.reshard_reports)
-
-    def push_unannounced_update(self, domain_index: int, version_suffix: str) -> None:
-        """Sign and install an update on one domain without publishing it.
-
-        The manifest is genuine (the attacker holds the developer key) and the
-        framework accepts it — announcing it and logging its digest as the
-        design requires — but the source never reaches the public registry or
-        release log, so auditors must flag the deployment.
-        """
-        domain = self.deployment.domains[domain_index]
-        current = domain.framework.current_package
-        if current is None:
-            raise ValueError("cannot push an update before any code is installed")
-        evil = CodePackage(current.name, current.version + version_suffix,
-                           current.language, current.source)
-        sequence = domain.framework.state().sequence + 1
-        manifest = self.deployment.developer.sign_update(evil, sequence)
-        self.deployment.install_on_domain(domain_index, manifest, evil)
-        self.unannounced_digests.append(evil.digest())
 
 
 class ScenarioRunner:
@@ -360,74 +55,36 @@ class ScenarioRunner:
         scenario = self.scenario
         driver = make_driver(scenario.app, scenario.seed, scenario.ops,
                              shards=scenario.shards, regions=scenario.regions)
-        deployment = driver.deployment
         plane = driver.plane
-        network = Network(clock=deployment.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=scenario.rpc_attempts)
-        if scenario.regions:
-            plane.apply_latency_map(network, geo_profile())
-        if scenario.service_time > 0:
-            plane.set_service_time(scenario.service_time)
         recorder = CoverageRecorder(scenario.app, layout=scenario.layout,
                                     shards=scenario.shards)
-        plan = FaultPlan(scenario.rules, scenario.events, seed=scenario.seed + 1)
-        plan.install(network, recorder=recorder)
-        if plane.spec is not None:
-            # Every epoch transition the run performs leaves a signed,
-            # self-contained transparency bundle behind (publishing is pure
-            # computation — deterministic signatures, no network traffic —
-            # so scenarios without transitions are byte-identical to before).
-            from repro.transparency.epochs import EpochPublisher
-
-            plane.epoch_publisher = EpochPublisher(plane.spec.name)
-        ctx = ScenarioContext(network, deployment, driver,
-                              ScheduledCompromise(deployment),
-                              plane.client_address, plane=plane,
-                              recorder=recorder,
-                              rpc_attempts=scenario.rpc_attempts)
+        run = OpLoop.routed(driver, seed=scenario.seed, rules=scenario.rules,
+                            events=scenario.events,
+                            rpc_attempts=scenario.rpc_attempts,
+                            service_time=scenario.service_time,
+                            regions=scenario.regions, recorder=recorder)
+        ctx = run.ctx
 
         log_baseline = {
             domain.domain_id: domain.framework.log_export()
             for shard in plane.shards for domain in shard.domains
         }
         report = ScenarioReport(scenario=scenario)
-        latencies: list[float] = []
-        started_at = network.clock.now()
-
         if scenario.concurrent:
-            self._run_concurrent(ctx, plan, driver, network, report, latencies)
+            run.run_concurrent(scenario.ops, scenario.arrival_rate,
+                               scenario.arrival_phases)
         else:
-            for op_index in range(scenario.ops):
-                ctx.current_op = op_index
-                for event in plan.events_at(op_index):
-                    event.apply(ctx)
-                    ctx.note_event(event)
-                op_started = network.clock.now()
-                try:
-                    driver.step(op_index)
-                except ReproError as exc:
-                    report.failed += 1
-                    report.failures.append((op_index, type(exc).__name__))
-                else:
-                    report.succeeded += 1
-                latencies.append(network.clock.now() - op_started)
+            run.run_serial(scenario.ops)
+        run.close(report)
 
-        report.retries = plane.rpc_retry_total()
-        report.shard_queue_depth = plane.max_queue_depth_per_shard()
-        plane.unroute()
-
-        stats = network.stats
-        report.messages_sent = stats.messages_sent
-        report.messages_delivered = stats.messages_delivered
-        report.messages_dropped = stats.messages_dropped
-        report.messages_duplicated = stats.messages_duplicated
         # Collected from the live fleet, not a pre-run snapshot, so servers
         # of shards grown by a mid-run reshard are counted too.
         report.duplicates_answered = plane.duplicates_answered_total()
-        report.sim_elapsed_s = network.clock.now() - started_at
+        report.sim_elapsed_s = run.clock.now() - run.started
+        # Failed ops count too: a scenario's latency is what every user saw.
+        latencies = [latency for _, latency in run.latencies]
         report.latency = summarize(latencies) if latencies else None
         report.reshards = list(ctx.reshard_reports)
-        report.final_shards = plane.ring.shard_count
 
         report.audit_ok, kinds = driver.audit_outcome()
         # Mid-run AuditNow probes contribute evidence kinds (an auditor that
@@ -448,123 +105,6 @@ class ScenarioRunner:
         report.invariants.extend(driver.finish(ctx))
         report.coverage_cells = frozenset(recorder.cells)
         return report
-
-    def _run_concurrent(self, ctx: ScenarioContext, plan: FaultPlan, driver,
-                        network: Network, report: ScenarioReport,
-                        latencies: list) -> None:
-        """Drive the ops as overlapping tasks on the discrete-event loop.
-
-        Each op arrives at its own seeded Poisson time and runs as a
-        generator that yields while its requests are on the wire, so
-        scheduled events — a live reshard included — fire while every
-        earlier-arriving, unfinished op is genuinely in flight.
-        ``arrival_phases`` reshape the Poisson process mid-run; an
-        :class:`~repro.sim.faults.AutoscaleEnabled` event additionally gets
-        a monitor task that samples the plane and reshards it through the
-        operator gates while the load flows.
-        """
-        from repro.net.eventloop import EventLoop, Sleep
-        from repro.sim.faults import AutoscaleEnabled
-
-        scenario = self.scenario
-        loop = EventLoop(network)
-        arrivals = random.Random(scenario.seed + 2)
-        in_flight = {"count": 0, "max": 0}
-        progress = {"done": 0}
-
-        def op_wrapper(op_index: int):
-            ctx.current_op = op_index
-            reshards_before = len(ctx.reshard_reports)
-            count_at_start = in_flight["count"]
-            for event in plan.events_at(op_index):
-                event.apply(ctx)
-                ctx.note_event(event)
-            if len(ctx.reshard_reports) > reshards_before:
-                report.in_flight_at_reshard = count_at_start
-            in_flight["count"] += 1
-            in_flight["max"] = max(in_flight["max"], in_flight["count"])
-            if ctx.recorder is not None and in_flight["count"] >= 2:
-                ctx.recorder.batch_active(True)
-            op_started = network.clock.now()
-            try:
-                yield from driver.op_task(ctx, op_index)
-            except ReproError as exc:
-                report.failed += 1
-                report.failures.append((op_index, type(exc).__name__))
-            else:
-                report.succeeded += 1
-            finally:
-                in_flight["count"] -= 1
-                progress["done"] += 1
-                if ctx.recorder is not None and in_flight["count"] < 2:
-                    ctx.recorder.batch_active(False)
-            latencies.append(network.clock.now() - op_started)
-
-        def rate_for(op_index: int) -> float:
-            rate = scenario.arrival_rate
-            for start_op, phase_rate in scenario.arrival_phases:
-                if op_index >= start_op:
-                    rate = phase_rate
-            return rate
-
-        def autoscale_monitor():
-            """Sample the plane at the policy cadence while ops remain.
-
-            Idles cheaply until the AutoscaleEnabled event actually fires
-            (it may sit at any op boundary); the p99 window is every op
-            completed since the previous sample.
-            """
-            from repro.service.autoscaler import percentile
-
-            window_start = 0
-            while progress["done"] < scenario.ops:
-                scaler = ctx.autoscaler
-                yield Sleep(scaler.policy.sample_interval_s
-                            if scaler is not None else 0.05)
-                if scaler is None:
-                    window_start = len(latencies)
-                    continue
-                window = latencies[window_start:]
-                window_start = len(latencies)
-                decisions_before = len(scaler.decisions)
-                shards_before = ctx.plane.ring.shard_count
-                # Per-sample observes enter the window without charging the
-                # active faults to it — otherwise the monitor's mere cadence
-                # would claim mid-autoscale coverage every run. Transitions
-                # the observe fires (and the migration traffic they push)
-                # are recorded under the phase.
-                phase = (ctx.recorder.phase("mid-autoscale",
-                                            record_active=False)
-                         if ctx.recorder is not None else _NullPhase())
-                with phase:
-                    scaler.observe(p99_s=percentile(window, 0.99))
-                if ctx.recorder is not None:
-                    fired = any(d.fired
-                                for d in scaler.decisions[decisions_before:])
-                    if fired:
-                        ctx.recorder.record_active_under("mid-autoscale")
-                    if ctx.plane.ring.shard_count != shards_before:
-                        ctx.recorder.set_shards(ctx.plane.ring.shard_count)
-
-        if any(isinstance(event, AutoscaleEnabled)
-               for event in scenario.events):
-            loop.spawn(autoscale_monitor(), name="autoscaler")
-
-        arrival_offset = 0.0
-        started = network.clock.now()
-        for op_index in range(scenario.ops):
-            arrival_offset += arrivals.expovariate(rate_for(op_index))
-            loop.spawn(op_wrapper(op_index), name=f"op-{op_index}",
-                       start_at=started + arrival_offset)
-        loop.run()
-        report.max_in_flight = in_flight["max"]
-        if ctx.autoscaler is not None:
-            # The autoscaler's transitions are epoch transitions like any
-            # other: fold them into the scenario's reshard record so the
-            # invariants judge them identically.
-            ctx.reshard_reports.extend(ctx.autoscaler.reshard_reports)
-            report.autoscale_decisions = [decision.to_dict() for decision
-                                          in ctx.autoscaler.decisions]
 
     # ------------------------------------------------------------------
     # Generic invariants (checked for every app)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.coverage import cell_id
+from repro.sim.harness import check_arrival_phases
 from repro.sim.metrics import LatencyStats
 
 __all__ = ["Scenario", "InvariantResult", "ScenarioReport"]
@@ -111,16 +112,7 @@ class Scenario:
         if self.arrival_phases:
             if not self.concurrent:
                 raise ValueError("arrival_phases only shape concurrent scenarios")
-            previous = -1
-            for start_op, rate in self.arrival_phases:
-                if not 0 <= start_op < self.ops:
-                    raise ValueError(f"phase start op {start_op} falls outside "
-                                     "the scenario")
-                if start_op <= previous:
-                    raise ValueError("phase start ops must be ascending")
-                if rate <= 0:
-                    raise ValueError("every phase rate must be positive")
-                previous = start_op
+            check_arrival_phases(self.arrival_phases, self.ops)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,20 @@
-"""Workload generation and the multi-client load driver.
+"""Workload generation and the multi-client load harness.
 
 Two layers live here:
 
 * :class:`WorkloadGenerator` — seeded draws of messages, secrets, user ids,
   telemetry values, and DNS names, so every experiment is reproducible.
 * :class:`MultiClientWorkload` — the load harness: it simulates many
-  concurrent users driving one of the four applications end to end over the
-  simulated network, in either the one-request-per-round-trip ("unbatched")
-  mode or the batched request pipeline, and reports throughput alongside the
-  transport statistics. Fault rules and scheduled events from the PR-1
-  scenario engine compose directly (see :meth:`MultiClientWorkload.run` and
-  :meth:`MultiClientWorkload.from_scenario`), so load runs double as stress
-  tests: the same drop/delay/reorder/duplicate taxonomy that the scenario
-  matrix exercises can be applied while thousands of operations are in
-  flight.
+  concurrent users driving one of the four applications end to end, in the
+  one-request-per-round-trip ("unbatched") mode, the batched request
+  pipeline, the concurrent discrete-event mode, or over true-parallel shard
+  workers, and reports throughput alongside the transport statistics. It is
+  configuration over the same per-app drivers (:mod:`repro.sim.drivers`)
+  and op loops (:mod:`repro.sim.harness`) the scenario engine runs, so
+  fault rules and scheduled events compose directly (see
+  :meth:`MultiClientWorkload.from_scenario`): the same
+  drop/delay/reorder/duplicate taxonomy the scenario matrix exercises can be
+  applied while thousands of operations are in flight.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ApplicationError, ReproError, ReshardError
 from repro.sim.metrics import LatencyStats, summarize
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "MultiClientWorkload"]
@@ -295,267 +295,6 @@ class WorkloadReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Per-application load adapters
-# ---------------------------------------------------------------------------
-#
-# Each adapter builds its application's deployment, materializes a seeded list
-# of operations (one per simulated client request), and knows how to execute a
-# span of them either one round trip at a time (`step`) or through the app's
-# batched API (`run_span`). Application modules are imported lazily so that
-# `repro.sim` keeps importing without the apps package (and to stay out of the
-# scenario engine's import cycle).
-
-
-class _KeyBackupAdapter:
-    app = "keybackup"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
-
-        self.service = KeyBackupDeployment(num_domains=4, threshold=3, shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = KeyBackupClient(self.service, audit_before_use=False)
-        generator = WorkloadGenerator(seed)
-        self.items = list(zip(generator.user_ids(ops), generator.secrets(ops, bits=248)))
-
-    def routing_key(self, op_index: int):
-        return self.items[op_index][0]
-
-    def step(self, op_index: int) -> None:
-        user_id, secret = self.items[op_index]
-        self.client.backup_key(user_id, secret)
-        if self.client.recover_key_any(user_id) != secret:
-            raise ApplicationError(f"recovered key for {user_id!r} does not match")
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self.items[start:start + count]
-        outcomes = self.client.backup_keys(span)
-        stored = [position for position, outcome in enumerate(outcomes)
-                  if not isinstance(outcome, Exception)]
-        recovered = self.client.recover_keys([span[position][0] for position in stored])
-        for position, value in zip(stored, recovered):
-            if isinstance(value, Exception):
-                outcomes[position] = value
-            elif value != span[position][1]:
-                outcomes[position] = ApplicationError(
-                    f"recovered key for {span[position][0]!r} does not match"
-                )
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import keybackup_op
-
-        user_id, secret = self.items[op_index]
-        return keybackup_op(self.client, user_id, secret, timeout=timeout)
-
-    def consistency_issues(self) -> list[str]:
-        return []
-
-
-class _PrioAdapter:
-    app = "prio"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.prio import (
-            PrivateAggregationClient,
-            PrivateAggregationDeployment,
-        )
-
-        self.service = PrivateAggregationDeployment(num_servers=3, max_value=100,
-                                                    shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        # A fixed session tag keeps submission→shard routing reproducible
-        # per seed (real clients default to a random tag per session).
-        self.client = PrivateAggregationClient(self.service, audit_before_use=False,
-                                               session_tag=f"workload-{seed}")
-        self.values = WorkloadGenerator(seed).telemetry_values(ops, 0, 100)
-        self.accepted: list[int] = []
-        self.unclean = 0
-
-    def routing_key(self, op_index: int):
-        # One submission per op, counter starts at zero, so the op's index
-        # is its submission index.
-        return self.client.submission_key(op_index)
-
-    def step(self, op_index: int) -> None:
-        value = self.values[op_index]
-        try:
-            self.client.submit(value)
-        except ReproError:
-            self.unclean += 1
-            raise
-        self.accepted.append(value)
-
-    def run_span(self, start: int, count: int) -> list:
-        outcomes = self.client.submit_many(self.values[start:start + count])
-        for offset, outcome in enumerate(outcomes):
-            if outcome is True:
-                self.accepted.append(self.values[start + offset])
-            else:
-                self.unclean += 1
-        return outcomes
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import prio_op
-
-        def task():
-            value = self.values[op_index]
-            try:
-                yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except ReproError:
-                self.unclean += 1
-                raise
-            self.accepted.append(value)
-            return True
-
-        return task()
-
-    def consistency_issues(self) -> list[str]:
-        from repro.apps.prio import FIELD_MODULUS
-
-        if self.unclean:
-            # A failed or torn submission may have reached a subset of the
-            # servers; either they still agree and the sum is exact, or the
-            # aggregate must refuse. Both are consistent outcomes.
-            try:
-                self.service.aggregate()
-            except ApplicationError:
-                pass
-            return []
-        result = self.service.aggregate()
-        expected = sum(self.accepted) % FIELD_MODULUS
-        issues = []
-        if result["sum"] != expected:
-            issues.append(
-                f"aggregate sum {result['sum']} != expected {expected} "
-                f"over {len(self.accepted)} accepted submissions"
-            )
-        if result["submissions"] != len(self.accepted):
-            issues.append(
-                f"servers counted {result['submissions']} submissions, "
-                f"client had {len(self.accepted)} accepted"
-            )
-        return issues
-
-
-class _ThresholdSignAdapter:
-    app = "threshold_sign"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.threshold_sign import CustodyClient, CustodyDeployment
-
-        self.service = CustodyDeployment(threshold=2, num_signers=3,
-                                         keygen_seed=seed.to_bytes(8, "big"),
-                                         shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = CustodyClient(self.service, audit_before_use=False)
-        self.messages = WorkloadGenerator(seed).messages(ops)
-        self.all_signers = list(range(1, self.service.num_signers + 1))
-        self.robust = False  # set by the workload driver when faults are active
-
-    def routing_key(self, op_index: int):
-        return self.messages[op_index]
-
-    def step(self, op_index: int) -> None:
-        transaction = self.client.sign_transaction_failover(self.messages[op_index])
-        if not self.client.verify(transaction):
-            raise ApplicationError("threshold signature did not verify")
-
-    def run_span(self, start: int, count: int) -> list:
-        # Under faults, collect shares from every signer so per-message
-        # failover survives a crashed or compromised domain; on a clean
-        # network the minimal quorum signs (matching the unbatched path,
-        # whose failover also stops after ``threshold`` successes).
-        signers = self.all_signers if self.robust else None
-        return self.client.sign_transactions(self.messages[start:start + count],
-                                             signer_indices=signers)
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import sign_op
-
-        return sign_op(self.client, self.messages[op_index], timeout=timeout,
-                       candidate_signers=self.all_signers)
-
-    def consistency_issues(self) -> list[str]:
-        return []
-
-
-class _OdohAdapter:
-    app = "odoh"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
-
-        self.names = WorkloadGenerator(seed).dns_queries(ops)
-        self.records = {
-            name: f"10.{index // 250}.{index % 250}.7"
-            for index, name in enumerate(self.names)
-        }
-        self.service = ObliviousDnsDeployment(records=self.records, shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = ObliviousDnsClient(self.service, audit_before_use=False)
-        self.resolved = 0
-
-    def routing_key(self, op_index: int):
-        return self.names[op_index]
-
-    def _check(self, name: str, response) -> None:
-        if not response.found or response.address != self.records[name]:
-            raise ApplicationError(f"wrong answer for {name!r}")
-        self.resolved += 1
-
-    def step(self, op_index: int) -> None:
-        name = self.names[op_index]
-        self._check(name, self.client.resolve(name))
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import odoh_op
-
-        def task():
-            name = self.names[op_index]
-            response = yield from odoh_op(self.client, name, timeout=timeout)
-            self._check(name, response)
-            return True
-
-        return task()
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self.names[start:start + count]
-        outcomes = self.client.resolve_many(span)
-        for position, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                continue
-            try:
-                self._check(span[position], outcome)
-            except ApplicationError as exc:
-                outcomes[position] = exc
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def consistency_issues(self) -> list[str]:
-        view = self.service.proxy_view()
-        leaked = [item for item in view if not isinstance(item, int)]
-        if leaked:
-            return [f"proxy recorded non-length data: {leaked[:3]!r}"]
-        if len(view) < self.resolved:
-            return [f"proxy view covers {len(view)} queries but {self.resolved} resolved"]
-        return []
-
-
-_ADAPTERS = {
-    adapter.app: adapter
-    for adapter in (_KeyBackupAdapter, _PrioAdapter, _ThresholdSignAdapter, _OdohAdapter)
-}
-
-
 class MultiClientWorkload:
     """Simulates many concurrent users driving one application over the network.
 
@@ -627,9 +366,11 @@ class MultiClientWorkload:
                  op_timeout: float = 0.25, arrival_phases: tuple = (),
                  autoscale_policy=None, parallel: bool = False,
                  workers: int = 4):
-        if app not in _ADAPTERS:
+        from repro.sim.drivers import DRIVERS
+
+        if app not in DRIVERS:
             raise ValueError(f"unknown workload app {app!r} "
-                             f"(expected one of {sorted(_ADAPTERS)})")
+                             f"(expected one of {sorted(DRIVERS)})")
         if num_clients < 1 or ops_per_client < 1:
             raise ValueError("a workload needs at least one client and one op")
         if batch_size < 1:
@@ -653,17 +394,9 @@ class MultiClientWorkload:
         if arrival_phases:
             if not concurrent:
                 raise ValueError("arrival_phases only shape concurrent runs")
-            total = num_clients * ops_per_client
-            previous = -1
-            for start_op, rate in arrival_phases:
-                if not 0 <= start_op < total:
-                    raise ValueError(f"phase start op {start_op} falls "
-                                     "outside the run")
-                if start_op <= previous:
-                    raise ValueError("phase start ops must be ascending")
-                if rate <= 0:
-                    raise ValueError("every phase rate must be positive")
-                previous = start_op
+            from repro.sim.harness import check_arrival_phases
+
+            check_arrival_phases(arrival_phases, num_clients * ops_per_client)
         if autoscale_policy is not None and not concurrent:
             raise ValueError("the autoscaler samples a live event loop; "
                              "it needs concurrent mode")
@@ -709,20 +442,22 @@ class MultiClientWorkload:
         self.autoscale_policy = autoscale_policy
         self.parallel = parallel
         self.workers = workers
+        # Multi-region placement; only a scenario sets it (from_scenario).
+        self.regions: tuple = ()
 
     @classmethod
     def from_scenario(cls, scenario, num_clients: int = 100,
                       batched: bool = True, batch_size: int = 128) -> "MultiClientWorkload":
-        """Build a load run from a scenario's fault plan.
+        """Build a load run from a scenario's deployment and fault plan.
 
-        The scenario contributes its application, shard layout, seed,
-        probabilistic rules, scheduled events, and retry budget; the load
-        harness contributes volume. This is how the PR-1 matrix composes
-        with throughput runs — sharded and reshard scenarios included
-        (shard-named events resolve against the same shard count they were
-        written for).
+        The scenario contributes its application, shard layout and region
+        placement, seed, service time, probabilistic rules, scheduled
+        events (audits, epoch forgeries and the autoscaler hand-off
+        included), retry budget, and arrival process; the load harness
+        contributes volume. Shard-named events resolve against the same
+        shard count they were written for.
         """
-        return cls(
+        workload = cls(
             app=scenario.app,
             num_clients=num_clients,
             ops_per_client=1,
@@ -736,8 +471,10 @@ class MultiClientWorkload:
             rpc_attempts=scenario.rpc_attempts,
             concurrent=scenario.concurrent,
             arrival_rate=scenario.arrival_rate,
-            arrival_phases=getattr(scenario, "arrival_phases", ()),
+            arrival_phases=scenario.arrival_phases,
         )
+        workload.regions = tuple(scenario.regions)
+        return workload
 
     def run(self) -> WorkloadReport:
         """Execute the workload and return its report.
@@ -756,22 +493,16 @@ class MultiClientWorkload:
             return self._run()
 
     def _run(self) -> WorkloadReport:
-        from repro.net.latency import lan_profile
-        from repro.net.transport import Network
-        from repro.sim.faults import FaultPlan
+        from repro.sim.drivers import make_driver
+        from repro.sim.harness import OpLoop
 
-        adapter = _ADAPTERS[self.app](self.seed, self.total_ops, shards=self.shards)
-        adapter.robust = bool(self.rules or self.events)
-        plane = adapter.plane
-        deployment = adapter.deployment
-        network = Network(clock=plane.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=self.rpc_attempts)
-        if self.service_time > 0:
-            plane.set_service_time(self.service_time)
-        plan = FaultPlan(self.rules, self.events, seed=self.seed + 1)
-        plan.install(network)
-        context = self._event_context(network, deployment, adapter)
-
+        driver = make_driver(self.app, self.seed, self.total_ops,
+                             shards=self.shards, regions=self.regions,
+                             session="workload")
+        run = OpLoop.routed(driver, seed=self.seed, rules=self.rules,
+                            events=self.events, rpc_attempts=self.rpc_attempts,
+                            service_time=self.service_time, regions=self.regions,
+                            count_failed_latency=False)
         batched = self.batched and not self.concurrent
         report = WorkloadReport(app=self.app, num_clients=self.num_clients,
                                 ops=self.total_ops, batched=batched,
@@ -779,90 +510,66 @@ class MultiClientWorkload:
                                 shards=self.shards, service_time=self.service_time,
                                 concurrent=self.concurrent,
                                 arrival_rate=self.arrival_rate)
-        op_latencies: list[tuple[int, float]] = []  # (op index, sim latency)
+        if self.reshard_at_op is not None:
+            run.before_op = lambda op_index: self._reshard_segment(
+                run, report, op_index)
+        if self.autoscale_policy is not None:
+            run.ctx.enable_autoscaler(self.autoscale_policy)
 
-        def reshard_now() -> None:
-            before = network.clock.now()
-            report.ops_before_reshard = report.succeeded
-            report.sim_seconds_before_reshard = before - sim_started
-            # A failed reshard is a run outcome, not a harness crash: a
-            # planning abort leaves the old epoch serving; a mid-migration
-            # failure commits with unmoved keys pinned (the coordinator
-            # attaches its report). The load keeps flowing either way.
-            try:
-                reshard_report = plane.reshard(self.reshard_to)
-            except ReshardError as exc:
-                reshard_report = getattr(exc, "report", None)
-                report.reshard_summary = (reshard_report.to_dict()
-                                          if reshard_report is not None else {})
-                report.reshard_summary["error"] = str(exc)
-            else:
-                report.reshard_summary = reshard_report.to_dict()
-            report.reshard_sim_seconds = network.clock.now() - before
-            # Ring coverage, not attached-shard count: a shrink that left a
-            # retiring shard draining (pinned keys) has still committed its
-            # epoch and serves at the new width.
-            report.resharded = plane.ring.shard_count == self.reshard_to
-            report.reshard_to = self.reshard_to
-
-        sim_started = network.clock.now()
         wall_started = time.perf_counter()
         if self.concurrent:
-            self._drive_concurrent(adapter, network, plan, context, report,
-                                   op_latencies, reshard_now, sim_started)
+            run.run_concurrent(self.total_ops, self.arrival_rate,
+                               self.arrival_phases, timeout=self.op_timeout)
         elif self.batched:
-            op_index = 0
-            while op_index < self.total_ops:
-                count = min(self.batch_size, self.total_ops - op_index)
-                if (self.reshard_at_op is not None and not report.resharded
-                        and op_index <= self.reshard_at_op < op_index + count):
-                    reshard_now()
-                for event in self.events:
-                    if op_index <= event.at_op < op_index + count:
-                        event.apply(context)
-                span_started = network.clock.now()
-                outcomes = adapter.run_span(op_index, count)
-                span_latency = network.clock.now() - span_started
-                for offset, outcome in enumerate(outcomes):
-                    if isinstance(outcome, Exception):
-                        report.failed += 1
-                        report.failures.append((op_index + offset,
-                                                type(outcome).__name__))
-                    else:
-                        report.succeeded += 1
-                        op_latencies.append((op_index + offset, span_latency))
-                op_index += count
+            run.run_spans(self.total_ops, self.batch_size)
         else:
-            for op_index in range(self.total_ops):
-                if op_index == self.reshard_at_op and not report.resharded:
-                    reshard_now()
-                for event in plan.events_at(op_index):
-                    event.apply(context)
-                op_started = network.clock.now()
-                try:
-                    adapter.step(op_index)
-                except ReproError as exc:
-                    report.failed += 1
-                    report.failures.append((op_index, type(exc).__name__))
-                else:
-                    report.succeeded += 1
-                    op_latencies.append((op_index,
-                                         network.clock.now() - op_started))
+            run.run_serial(self.total_ops)
         report.wall_seconds = time.perf_counter() - wall_started
-        report.sim_seconds = network.clock.now() - sim_started
-        report.retries = plane.rpc_retry_total()
-        report.shard_queue_depth = plane.max_queue_depth_per_shard()
-        report.final_shards = plane.ring.shard_count
-        plane.unroute()
-        self._attach_latency(report, adapter, plane, op_latencies)
-
-        stats = network.stats
-        report.messages_sent = stats.messages_sent
-        report.messages_delivered = stats.messages_delivered
-        report.messages_dropped = stats.messages_dropped
-        report.messages_duplicated = stats.messages_duplicated
-        report.consistency_issues = adapter.consistency_issues()
+        report.sim_seconds = run.clock.now() - run.started
+        run.close(report)
+        scaler = run.ctx.autoscaler
+        if scaler is not None:
+            report.autoscaled = any(d.fired for d in scaler.decisions)
+            report.autoscale_reshards = [r.to_dict()
+                                         for r in scaler.reshard_reports]
+        if run.latencies:
+            # Each op is attributed to the shard its routing key lands on
+            # under the *final* ring, so a resharded run's breakdown
+            # reflects the grown fleet.
+            report.latency = summarize([latency for _, latency in run.latencies])
+            per_shard: dict[int, list[float]] = {}
+            for op_index, latency in run.latencies:
+                shard = driver.plane.shard_for(driver.routing_key(op_index))
+                per_shard.setdefault(shard, []).append(latency)
+            report.shard_latency = {shard: summarize(samples) for shard, samples
+                                    in sorted(per_shard.items())}
+        report.consistency_issues = driver.consistency_issues()
         return report
+
+    def _reshard_segment(self, run, report, op_index: int) -> None:
+        """Resize the plane live before ``reshard_at_op`` and record the
+        segment boundary: ops and sim time before the flip, and the
+        migration's own sim time."""
+        if op_index != self.reshard_at_op:
+            return
+        ctx = run.ctx
+        before = run.clock.now()
+        report.ops_before_reshard = run.succeeded
+        report.sim_seconds_before_reshard = before - run.started
+        reports, errors = len(ctx.reshard_reports), len(ctx.reshard_errors)
+        # A failed reshard is a run outcome, not a harness crash: the
+        # context records it and the load keeps flowing.
+        ctx.reshard(self.reshard_to)
+        report.reshard_summary = (ctx.reshard_reports[-1].to_dict()
+                                  if len(ctx.reshard_reports) > reports else {})
+        if len(ctx.reshard_errors) > errors:
+            report.reshard_summary["error"] = ctx.reshard_errors[-1]
+        report.reshard_sim_seconds = run.clock.now() - before
+        # Ring coverage, not attached-shard count: a shrink that left a
+        # retiring shard draining (pinned keys) has still committed its
+        # epoch and serves at the new width.
+        report.resharded = ctx.plane.ring.shard_count == self.reshard_to
+        report.reshard_to = self.reshard_to
 
     def _run_parallel(self) -> WorkloadReport:
         """Drive the batched pipeline against true-parallel shard workers.
@@ -877,9 +584,12 @@ class MultiClientWorkload:
         excluded from the measured window.
         """
         from repro.service.parallel import ParallelShardExecutor
+        from repro.sim.drivers import make_driver
+        from repro.sim.harness import OpLoop
 
-        adapter = _ADAPTERS[self.app](self.seed, self.total_ops, shards=self.shards)
-        plane = adapter.plane
+        driver = make_driver(self.app, self.seed, self.total_ops,
+                             shards=self.shards, session="workload")
+        plane = driver.plane
         report = WorkloadReport(app=self.app, num_clients=self.num_clients,
                                 ops=self.total_ops, batched=True,
                                 batch_size=self.batch_size, shards=self.shards,
@@ -889,143 +599,16 @@ class MultiClientWorkload:
         executor.start(plane)
         try:
             plane.route_via_executor(executor)
+            run = OpLoop(driver)
             wall_started = time.perf_counter()
-            op_index = 0
-            while op_index < self.total_ops:
-                count = min(self.batch_size, self.total_ops - op_index)
-                outcomes = adapter.run_span(op_index, count)
-                for offset, outcome in enumerate(outcomes):
-                    if isinstance(outcome, Exception):
-                        report.failed += 1
-                        report.failures.append((op_index + offset,
-                                                type(outcome).__name__))
-                    else:
-                        report.succeeded += 1
-                op_index += count
+            run.run_spans(self.total_ops, self.batch_size)
             report.wall_seconds = time.perf_counter() - wall_started
             # Consistency checks read the workers' state, so they must run
             # while the plane is still executor-routed (the parent's own
             # domain state never saw the traffic).
-            report.consistency_issues = adapter.consistency_issues()
-            report.retries = plane.rpc_retry_total()
+            report.consistency_issues = driver.consistency_issues()
+            run.close(report)
         finally:
             plane.unroute()
             executor.shutdown()
-        report.final_shards = plane.ring.shard_count
         return report
-
-    def _drive_concurrent(self, adapter, network, plan, context, report,
-                          op_latencies, reshard_now, sim_started) -> None:
-        """Run every op as its own task on the discrete-event loop.
-
-        Ops arrive at seeded Poisson times and overlap for real: while one
-        op's requests sit in a server's service queue or ride the wire,
-        other ops make progress. Scheduled events (and the live reshard)
-        fire at the moment their target op *starts* — with every
-        earlier-arriving, still-unfinished op genuinely in flight.
-
-        ``arrival_phases`` reshape the Poisson process mid-run (flash crowd,
-        diurnal wave); an ``autoscale_policy`` additionally spawns a monitor
-        task that samples windowed p99 and live queue depth at the policy's
-        cadence and reshards the plane through the operator gates while ops
-        are in flight.
-        """
-        from repro.net.eventloop import EventLoop, Sleep
-
-        loop = EventLoop(network)
-        arrivals = random.Random(self.seed + 2)
-        in_flight = {"count": 0, "max": 0}
-        progress = {"done": 0}
-
-        def op_wrapper(op_index: int):
-            if op_index == self.reshard_at_op and not report.resharded:
-                report.in_flight_at_reshard = in_flight["count"]
-                reshard_now()
-            for event in plan.events_at(op_index):
-                event.apply(context)
-            in_flight["count"] += 1
-            in_flight["max"] = max(in_flight["max"], in_flight["count"])
-            op_started = network.clock.now()
-            try:
-                yield from adapter.op_task(op_index, self.op_timeout)
-            except ReproError as exc:
-                report.failed += 1
-                report.failures.append((op_index, type(exc).__name__))
-            else:
-                report.succeeded += 1
-                op_latencies.append((op_index, network.clock.now() - op_started))
-            finally:
-                in_flight["count"] -= 1
-                progress["done"] += 1
-
-        def rate_for(op_index: int) -> float:
-            rate = self.arrival_rate
-            for start_op, phase_rate in self.arrival_phases:
-                if op_index >= start_op:
-                    rate = phase_rate
-            return rate
-
-        def autoscale_monitor(scaler):
-            """Sample the plane at the policy cadence while ops remain.
-
-            The p99 window is every op completed since the previous sample —
-            the same latencies the report summarizes, so a scenario can
-            reconstruct exactly what the autoscaler saw.
-            """
-            from repro.service.autoscaler import percentile
-
-            window_start = 0
-            interval = scaler.policy.sample_interval_s
-            while progress["done"] < self.total_ops:
-                yield Sleep(interval)
-                window = [latency for _, latency
-                          in op_latencies[window_start:]]
-                window_start = len(op_latencies)
-                scaler.observe(p99_s=percentile(window, 0.99))
-
-        scaler = None
-        if self.autoscale_policy is not None:
-            from repro.service.autoscaler import Autoscaler
-
-            scaler = Autoscaler(adapter.plane, self.autoscale_policy)
-            loop.spawn(autoscale_monitor(scaler), name="autoscaler")
-
-        arrival_offset = 0.0
-        for op_index in range(self.total_ops):
-            arrival_offset += arrivals.expovariate(rate_for(op_index))
-            loop.spawn(op_wrapper(op_index), name=f"op-{op_index}",
-                       start_at=sim_started + arrival_offset)
-        loop.run()
-        report.max_in_flight = in_flight["max"]
-        if scaler is not None:
-            report.autoscaled = any(d.fired for d in scaler.decisions)
-            report.autoscale_decisions = [d.to_dict()
-                                          for d in scaler.decisions]
-            report.autoscale_reshards = [r.to_dict()
-                                         for r in scaler.reshard_reports]
-
-    def _attach_latency(self, report, adapter, plane, op_latencies) -> None:
-        """Summarize per-op sim latency, overall and broken down by shard.
-
-        Each op is attributed to the shard its routing key lands on under the
-        *final* ring, so a resharded run's breakdown reflects the grown fleet.
-        """
-        if not op_latencies:
-            return
-        report.latency = summarize([latency for _, latency in op_latencies])
-        per_shard: dict[int, list[float]] = {}
-        for op_index, latency in op_latencies:
-            shard = plane.shard_for(adapter.routing_key(op_index))
-            per_shard.setdefault(shard, []).append(latency)
-        report.shard_latency = {shard: summarize(samples)
-                                for shard, samples in sorted(per_shard.items())}
-
-    def _event_context(self, network, deployment, adapter):
-        """A scenario-compatible context so scheduled events can fire here."""
-        from repro.sim.adversary import ScheduledCompromise
-        from repro.sim.scenarios.runner import ScenarioContext
-
-        return ScenarioContext(network, deployment, adapter,
-                               ScheduledCompromise(deployment),
-                               deployment.client_address,
-                               plane=adapter.plane)

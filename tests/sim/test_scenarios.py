@@ -192,7 +192,7 @@ class TestReshardScenarios:
         records the error (and the committed report, when migration already
         moved records) and the run continues to its invariants."""
         from repro.sim.adversary import ScheduledCompromise
-        from repro.sim.scenarios.apps import make_driver
+        from repro.sim.scenarios import make_driver
         from repro.sim.scenarios.runner import ScenarioContext
 
         driver = make_driver("keybackup", 2022, 4, shards=2)
@@ -219,7 +219,7 @@ class TestReshardScenarios:
         """CompromiseDomain(shard_index=N) breaches the named shard's TEE,
         and the fleet-wide audit catches it."""
         from repro.sim.adversary import ScheduledCompromise
-        from repro.sim.scenarios.apps import make_driver
+        from repro.sim.scenarios import make_driver
         from repro.sim.scenarios.runner import ScenarioContext
 
         driver = make_driver("keybackup", 2022, 2, shards=2)

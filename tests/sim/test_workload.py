@@ -4,12 +4,17 @@ import pytest
 
 from repro.sim import MultiClientWorkload
 from repro.sim.faults import (
+    AuditEpoch,
+    AuditNow,
+    AutoscaleEnabled,
     CrashParty,
     DropFault,
     DuplicateFault,
+    ForgeEpochDigest,
     RecoverParty,
     ReorderFault,
 )
+from repro.sim.scenarios import ScenarioRunner
 from repro.sim.scenarios.matrix import default_matrix
 
 APPS = ("keybackup", "prio", "threshold_sign", "odoh")
@@ -201,6 +206,55 @@ class TestFaultComposition:
                                                    batched=True, batch_size=2).run()
         assert report.succeeded == report.ops, report.failures[:3]
         assert report.consistent
+
+
+class TestScenarioParity:
+    """The load harness runs every scenario field the scenario engine runs."""
+
+    @pytest.mark.parametrize("mode", [
+        dict(batch_size=4),
+        dict(batched=False),
+        dict(concurrent=True, arrival_rate=20_000.0),
+    ], ids=["batched", "unbatched", "concurrent"])
+    def test_mid_run_audit_fires_in_every_mode(self, mode):
+        report = MultiClientWorkload("keybackup", num_clients=8, seed=7,
+                                     events=(AuditNow(at_op=3),), **mode).run()
+        assert report.succeeded == 8, report.failures
+        assert report.consistent
+
+    FIELD_SCENARIOS = [
+        scenario for scenario in default_matrix()
+        if scenario.regions or any(
+            isinstance(event, (AutoscaleEnabled, AuditEpoch, ForgeEpochDigest))
+            for event in scenario.events)
+    ]
+
+    @pytest.mark.parametrize("scenario", FIELD_SCENARIOS,
+                             ids=lambda scenario: scenario.name)
+    def test_from_scenario_matches_the_scenario_engine(self, scenario):
+        """Autoscaler hand-offs, epoch audits and forgeries, and geo
+        placement all reach the load run: driven op by op like the
+        scenario, it ends where the scenario engine ends."""
+        report = MultiClientWorkload.from_scenario(
+            scenario, num_clients=scenario.ops, batched=False).run()
+        expected = ScenarioRunner(scenario).run()
+
+        def fired(decisions):
+            return [d["action"] for d in decisions if d.get("fired")]
+
+        assert (report.succeeded, report.failed, report.final_shards) == (
+            expected.succeeded, expected.failed, expected.final_shards)
+        assert fired(report.autoscale_decisions) == fired(
+            expected.autoscale_decisions)
+        assert report.autoscaled == bool(fired(expected.autoscale_decisions))
+        if scenario.app != "prio":
+            # prio's session tag names the harness, so its submissions
+            # route differently under the two; every other app's traffic
+            # is the scenario's, byte for byte.
+            assert report.messages_sent == expected.messages_sent
+            assert report.autoscale_decisions == expected.autoscale_decisions
+            if not report.failed:
+                assert report.latency == expected.latency
 
 
 class TestBatchSigningProvenance:
