@@ -15,8 +15,10 @@ be horizontally sharded (``shards=N``): users are placed on shards by
 consistent hashing of their user id, each shard being a full trust-domain
 deployment holding that user's ``num_domains`` shares. The client is a thin
 adapter over :class:`~repro.service.ServiceClient` — the session facade owns
-audit-before-use, failover, and batch scatter; this module owns the Shamir
-crypto and the per-user bookkeeping.
+audit-before-use; backup and recovery are each written once, as wave
+generators the executors of :mod:`repro.service.waves` run inline, batched or
+on the event loop (failover and batch scatter live there); this module owns
+the Shamir crypto and the per-user bookkeeping.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.service import (
     ServiceSpec,
     ShardMigrator,
 )
+from repro.service.waves import Wave, run_batched, run_inline
 from repro.sim.adversary import DeveloperCompromise
 
 __all__ = ["KEY_BACKUP_APP_SOURCE", "KeyBackupDeployment", "KeyBackupClient"]
@@ -284,22 +287,63 @@ class KeyBackupClient:
         return self.session.audit_compat()
 
     # ------------------------------------------------------------------
+    # The two operations, each written once (see repro.service.waves)
+    # ------------------------------------------------------------------
+    def backup_op(self, user_id: str, secret_key: int | bytes):
+        """Split ``secret_key`` and store one share in every trust domain.
+
+        An op generator: one all-of wave of stores on the user's shard.
+        Returns a :class:`BackupReceipt`; raises the failed call's error, or
+        :class:`ApplicationError` when a domain refuses its share.
+        """
+        shares = self.sharing.split(secret_key)
+        results = yield Wave([
+            (user_id, domain_index, "store_share", {
+                "user": user_id,
+                "index": share.index,
+                "value": share.value,
+            })
+            for domain_index, share in enumerate(shares)
+        ])
+        for domain_index, result in enumerate(results):
+            if isinstance(result, Exception):
+                raise result
+            if not result["value"]["stored"]:
+                raise ApplicationError(
+                    f"domain {domain_index} refused to store a share for {user_id!r}")
+        return BackupReceipt(user_id=user_id, threshold=self.service.threshold,
+                             num_domains=self.service.num_domains)
+
+    def recover_op(self, user_id: str):
+        """Recover the key from whichever ``threshold`` domains answer.
+
+        An op generator: one need-``threshold`` wave over every domain of the
+        user's shard, in order, counting only domains that hold a share.
+        Returns the key as an integer.
+
+        Raises:
+            ApplicationError: fewer than ``threshold`` domains produced a share.
+        """
+        threshold = self.service.threshold
+        wave = Wave([(user_id, domain_index, "fetch_share", {"user": user_id})
+                     for domain_index in range(self.service.num_domains)],
+                    need=threshold, accept=lambda result: result["value"]["found"])
+        results = yield wave
+        shares = [Share(result["value"]["index"], result["value"]["value"])
+                  for result in results if wave.ok(result)]
+        if len(shares) < threshold:
+            raise ApplicationError(
+                f"only {len(shares)} of the required {threshold} domains "
+                f"produced a share for {user_id!r}")
+        return self.sharing.reconstruct(shares)
+
+    # ------------------------------------------------------------------
     # Backup / recovery
     # ------------------------------------------------------------------
     def backup_key(self, user_id: str, secret_key: int | bytes) -> BackupReceipt:
         """Split ``secret_key`` and store one share in every trust domain."""
         self.session.checkpoint(user_id)
-        shares = self.sharing.split(secret_key)
-        for domain_index, share in enumerate(shares):
-            result = self.session.invoke(user_id, domain_index, "store_share", {
-                "user": user_id,
-                "index": share.index,
-                "value": share.value,
-            })
-            if not result["value"]["stored"]:
-                raise ApplicationError(f"domain {domain_index} refused to store a share")
-        return BackupReceipt(user_id=user_id, threshold=self.service.threshold,
-                             num_domains=self.service.num_domains)
+        return run_inline(self.session.plane, self.backup_op(user_id, secret_key))
 
     def recover_key(self, user_id: str, domain_indices: list[int] | None = None) -> int:
         """Recover the key from any ``threshold`` trust domains."""
@@ -331,21 +375,7 @@ class KeyBackupClient:
             ApplicationError: fewer than ``threshold`` domains produced a share.
         """
         self.session.checkpoint(user_id)
-        answers = self.session.invoke_failover(
-            user_id, range(self.service.num_domains), "fetch_share",
-            {"user": user_id},
-            need=self.service.threshold,
-            accept=lambda result: result["value"]["found"],
-        )
-        if len(answers) < self.service.threshold:
-            raise ApplicationError(
-                f"only {len(answers)} of the required {self.service.threshold} domains "
-                f"produced a share for {user_id!r}"
-            )
-        return self.sharing.reconstruct([
-            Share(result["value"]["index"], result["value"]["value"])
-            for _, result in answers
-        ])
+        return run_inline(self.session.plane, self.recover_op(user_id))
 
     # ------------------------------------------------------------------
     # Batch backup / recovery (the high-throughput pipeline)
@@ -353,108 +383,30 @@ class KeyBackupClient:
     def backup_keys(self, items: list[tuple[str, int | bytes]]) -> list:
         """Back up many ``(user_id, secret_key)`` pairs in one batched sweep.
 
-        All secrets are split in one Horner sweep per polynomial, and the
-        whole batch is scattered in one shot: every ``(shard, domain)`` pair
-        receives its slice as a single batched request, all payloads on the
-        wire before the network runs, so shards (and domains) serve
+        The whole batch is scattered in one shot: every ``(shard, domain)``
+        pair receives its slice as a single batched request, all payloads on
+        the wire before the network runs, so shards (and domains) serve
         concurrently in simulated time. Returns one outcome per item, in
-        order: a :class:`BackupReceipt`, or an :class:`ApplicationError`
-        instance for a user whose share could not be stored everywhere
-        (failures are isolated per user, not per batch).
+        order: a :class:`BackupReceipt`, or the exception instance for a user
+        whose share could not be stored everywhere (failures are isolated
+        per user, not per batch).
         """
         self.session.checkpoint()
-        if not items:
-            return []
-        share_lists = self.sharing.split_many([secret for _, secret in items])
-        num_domains = self.service.num_domains
-        calls = []
-        for (user_id, _), shares in zip(items, share_lists):
-            for domain_index in range(num_domains):
-                calls.append((user_id, domain_index, "store_share", {
-                    "user": user_id,
-                    "index": shares[domain_index].index,
-                    "value": shares[domain_index].value,
-                }))
-        results = self.session.scatter(calls)
-        outcomes = []
-        for position, (user_id, _) in enumerate(items):
-            failure = None
-            for domain_index in range(num_domains):
-                result = results[position * num_domains + domain_index]
-                if isinstance(result, Exception):
-                    failure = ApplicationError(
-                        f"domain {domain_index} failed to store a share for "
-                        f"{user_id!r}: {result}"
-                    )
-                    break
-                if not result["value"]["stored"]:
-                    failure = ApplicationError(
-                        f"domain {domain_index} refused to store a share for "
-                        f"{user_id!r}"
-                    )
-                    break
-            outcomes.append(failure or BackupReceipt(
-                user_id=user_id, threshold=self.service.threshold,
-                num_domains=num_domains,
-            ))
-        return outcomes
+        return run_batched(self.session.plane, [
+            self.backup_op(user_id, secret_key) for user_id, secret_key in items])
 
     def recover_keys(self, user_ids: list[str]) -> list:
         """Recover many users' keys in one scattered sweep per domain wave.
 
         The happy path asks the first ``threshold`` domains for *every* user
         in a single scatter; only users still short of a threshold after that
-        wave walk the remaining domains. Returns one outcome per user, in
-        order: the recovered integer key, or an :class:`ApplicationError`
-        instance when fewer than ``threshold`` domains produced a share.
+        wave ask further domains. Returns one outcome per user, in order: the
+        recovered integer key, or an :class:`ApplicationError` instance when
+        fewer than ``threshold`` domains produced a share.
         """
         self.session.checkpoint()
-        threshold = self.service.threshold
-        num_domains = self.service.num_domains
-        shares_per_user: list[list[Share]] = [[] for _ in user_ids]
-
-        def ask(positions: list[int], domain_indices: list[int]) -> None:
-            calls = [(user_ids[position], domain_index, "fetch_share",
-                      {"user": user_ids[position]})
-                     for position in positions for domain_index in domain_indices]
-            results = self.session.scatter(calls)
-            cursor = 0
-            for position in positions:
-                for _ in domain_indices:
-                    result = results[cursor]
-                    cursor += 1
-                    if not isinstance(result, Exception) and result["value"]["found"]:
-                        shares_per_user[position].append(
-                            Share(result["value"]["index"], result["value"]["value"])
-                        )
-
-        # Optimistic wave: the first `threshold` domains, everyone at once.
-        ask(list(range(len(user_ids))), list(range(threshold)))
-        remaining = [position for position in range(len(user_ids))
-                     if len(shares_per_user[position]) < threshold]
-        # Fallback walk for stragglers, one further domain per wave.
-        for domain_index in range(threshold, num_domains):
-            if not remaining:
-                break
-            ask(remaining, [domain_index])
-            remaining = [position for position in remaining
-                         if len(shares_per_user[position]) < threshold]
-        outcomes = []
-        for position, user_id in enumerate(user_ids):
-            shares = shares_per_user[position]
-            if len(shares) < threshold:
-                outcomes.append(ApplicationError(
-                    f"only {len(shares)} of the required {threshold} "
-                    f"domains produced a share for {user_id!r}"
-                ))
-                continue
-            try:
-                outcomes.append(self.sharing.reconstruct(shares[:threshold]))
-            except ReproError as exc:
-                outcomes.append(ApplicationError(
-                    f"reconstruction failed for {user_id!r}: {exc}"
-                ))
-        return outcomes
+        return run_batched(self.session.plane,
+                           [self.recover_op(user_id) for user_id in user_ids])
 
     def recover_key_bytes(self, user_id: str, length: int = 32) -> bytes:
         """Recover the key and return it as fixed-length bytes."""

@@ -32,6 +32,7 @@ from repro.service import (
     ServiceSpec,
     ShardMigrator,
 )
+from repro.service.waves import Wave, run_batched, run_inline
 from repro.wire.codec import decode, encode
 
 __all__ = ["ObliviousDnsDeployment", "ObliviousDnsClient", "PROXY_APP_SOURCE", "RESOLVER_APP_SOURCE"]
@@ -287,51 +288,6 @@ class ObliviousDnsDeployment:
                                             "resolve_plaintext", {"name": name})["value"]
         return self._encrypt_response(relayed, answer)
 
-    def handle_query_batch(self, envelopes: list[dict],
-                           shard_indices: list[int] | None = None) -> list:
-        """Carry many encrypted queries through the proxies and resolvers at once.
-
-        Each shard's proxy forwards its whole slice in one request, and so
-        does its resolver, preserving the role split (proxies still see only
-        ciphertext, resolvers only names). ``shard_indices`` carries the
-        client's per-query routing decisions (default: shard 0, the
-        single-shard behavior). Returns one outcome per envelope, in order:
-        the encrypted response dict, or an exception instance for a query
-        that failed at either hop.
-        """
-        if shard_indices is None:
-            shard_indices = [0] * len(envelopes)
-        outcomes: list = [None] * len(envelopes)
-        forwarded = self.plane.scatter_to_shards([
-            (shard_index, PROXY_DOMAIN, "forward", envelope)
-            for shard_index, envelope in zip(shard_indices, envelopes)
-        ])
-        resolvable: list[tuple[int, dict, str]] = []
-        for position, result in enumerate(forwarded):
-            if isinstance(result, Exception):
-                outcomes[position] = result
-                continue
-            relayed = result["value"]
-            try:
-                resolvable.append((position, relayed, self._decrypt_query(relayed)))
-            except (ReproError, KeyError, TypeError) as exc:
-                # A malformed envelope (bad point, missing field, wrong type —
-                # e.g. from a compromised proxy) fails only its own query, not
-                # the whole batch.
-                outcomes[position] = (exc if isinstance(exc, ReproError) else
-                                      ApplicationError(f"malformed envelope: {exc!r}"))
-        answers = self.plane.scatter_to_shards([
-            (shard_indices[position], RESOLVER_DOMAIN, "resolve_plaintext",
-             {"name": name})
-            for position, _, name in resolvable
-        ])
-        for (position, relayed, _), answer in zip(resolvable, answers):
-            if isinstance(answer, Exception):
-                outcomes[position] = answer
-            else:
-                outcomes[position] = self._encrypt_response(relayed, answer["value"])
-        return outcomes
-
     def _shared_key(self, ephemeral_public: bytes) -> bytes:
         key = self._shared_key_cache.get(ephemeral_public)
         if key is not None:
@@ -480,40 +436,56 @@ class ObliviousDnsClient:
         answer = decode(bytes(c ^ s for c, s in zip(ciphertext, response_stream)))
         return DnsResponse(name=name, found=answer["found"], address=answer["address"])
 
-    def resolve(self, name: str) -> DnsResponse:
+    def resolve_op(self, name: str):
         """Resolve ``name`` without the proxy learning it.
 
-        The client routes by hashing the name *before* encrypting it, so the
-        shard choice never requires the operator to see plaintext.
+        An op generator: a proxy wave, then a resolver wave, one call each.
+        Both route by hashing the *name* locally (the key never rides the
+        wire, so the operator never needs plaintext to pick a shard), and
+        routing is re-resolved per wave — a reshard that commits between the
+        hops still finds the records on the post-epoch shard. Returns the
+        :class:`DnsResponse`; a malformed envelope or response fails as
+        :class:`ApplicationError`.
         """
-        self.session.checkpoint()
+        service = self.service
         envelope, key = self._encrypt_query(name)
-        encrypted_response = self.service.handle_query(
-            envelope, shard_index=self.service.plane.shard_for(name)
-        )
-        return self._decrypt_response(name, key, encrypted_response)
+        forwarded, = yield Wave([(name, PROXY_DOMAIN, "forward", envelope)])
+        if isinstance(forwarded, Exception):
+            raise forwarded
+        relayed = forwarded["value"]
+        try:
+            plain_name = service._decrypt_query(relayed)
+        except (KeyError, TypeError) as exc:
+            # A malformed envelope (missing field, wrong type — e.g. from a
+            # compromised proxy) fails only its own query.
+            raise ApplicationError(
+                f"proxy returned an undecryptable envelope for {name!r}: {exc!r}"
+            ) from exc
+        answer, = yield Wave([(name, RESOLVER_DOMAIN, "resolve_plaintext",
+                               {"name": plain_name})])
+        if isinstance(answer, Exception):
+            raise answer
+        try:
+            return self._decrypt_response(
+                name, key, service._encrypt_response(relayed, answer["value"]))
+        except (KeyError, TypeError) as exc:
+            raise ApplicationError(f"malformed response for {name!r}: {exc!r}") from exc
+
+    def resolve(self, name: str) -> DnsResponse:
+        """Resolve ``name`` without the proxy learning it (see :meth:`resolve_op`)."""
+        self.session.checkpoint()
+        return run_inline(self.service.plane, self.resolve_op(name))
 
     def resolve_many(self, names: list[str]) -> list:
         """Resolve many names in one batched sweep through proxies and resolvers.
 
-        Returns one outcome per name, in order: a :class:`DnsResponse`, or an
-        exception instance for a query that failed in flight — failures are
-        isolated per query, so one lost query cannot mask the rest.
+        Each shard's proxy forwards its whole slice in one request, and so
+        does its resolver, preserving the role split (proxies still see only
+        ciphertext, resolvers only names). Returns one outcome per name, in
+        order: a :class:`DnsResponse`, or an exception instance for a query
+        that failed in flight — failures are isolated per query, so one lost
+        query cannot mask the rest.
         """
         self.session.checkpoint()
-        encrypted = [self._encrypt_query(name) for name in names]
-        results = self.service.handle_query_batch(
-            [envelope for envelope, _ in encrypted],
-            shard_indices=[self.service.plane.shard_for(name) for name in names],
-        )
-        outcomes = []
-        for name, (_, key), result in zip(names, encrypted, results):
-            if isinstance(result, Exception):
-                outcomes.append(result)
-                continue
-            try:
-                outcomes.append(self._decrypt_response(name, key, result))
-            except (ReproError, KeyError, TypeError) as exc:
-                outcomes.append(exc if isinstance(exc, ReproError) else
-                                ApplicationError(f"malformed response: {exc!r}"))
-        return outcomes
+        return run_batched(self.service.plane,
+                           [self.resolve_op(name) for name in names])

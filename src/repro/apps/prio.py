@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 from repro.crypto import rng
 from repro.core.package import CodePackage, DeveloperIdentity
-from repro.errors import ApplicationError, ReproError
+from repro.errors import ApplicationError
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
+from repro.service.waves import Wave, run_batched, run_inline
 
 __all__ = [
     "PRIO_APP_SOURCE",
@@ -304,32 +305,49 @@ class PrivateAggregationClient:
         self._submission_counter += 1
         return key
 
+    def submit_op(self, value: int, key: str):
+        """Split ``value`` into additive shares and send one to each server.
+
+        An op generator: one all-of wave keyed by the submission ``key``, so
+        every share lands on the same shard (the torn-submission invariant
+        stays per shard). Returns ``True``; raises
+        :class:`ApplicationError` for an out-of-range or rejected value,
+        :class:`PartialSubmissionError` when only some servers accepted the
+        value's share (a torn submission the aggregate check will catch), or
+        the failed call's error when no server did.
+        """
+        if not self._in_range(value):
+            raise ApplicationError(
+                f"value {value} outside the allowed range [0, {self.service.max_value}]"
+            )
+        shares = self._additive_shares(value, self.service.num_servers)
+        wave = Wave([(key, server_index, "submit_share", {"share": share})
+                     for server_index, share in enumerate(shares)],
+                    accept=lambda result: result["value"]["accepted"])
+        results = yield wave
+        accepted = [server_index for server_index, result in enumerate(results)
+                    if wave.ok(result)]
+        if len(accepted) == len(shares):
+            return True
+        if accepted:
+            raise PartialSubmissionError(
+                f"submission torn: servers {accepted} accepted a share but "
+                "another server did not", accepted,
+            )
+        # No server accepted, so the very first call failed or was refused.
+        if isinstance(results[0], Exception):
+            raise results[0]
+        raise ApplicationError("server 0 rejected the share")
+
     def submit(self, value: int) -> None:
         """Split ``value`` into additive shares and send one to each server."""
-        if not 0 <= value <= self.service.max_value:
+        if not self._in_range(value):
             raise ApplicationError(
                 f"value {value} outside the allowed range [0, {self.service.max_value}]"
             )
         self.session.checkpoint()
-        key = self._next_submission_key()
-        shares = self._additive_shares(value, self.service.num_servers)
-        accepted: list[int] = []
-        for index, share in enumerate(shares):
-            try:
-                response = self.session.invoke(key, index, "submit_share",
-                                               {"share": share})["value"]
-            except ApplicationError:
-                raise
-            except ReproError as exc:
-                if accepted:
-                    raise PartialSubmissionError(
-                        f"submission torn: servers {accepted} accepted a share but "
-                        f"server {index} was unreachable", accepted,
-                    ) from exc
-                raise
-            if not response["accepted"]:
-                raise ApplicationError(f"server {index} rejected the share")
-            accepted.append(index)
+        run_inline(self.session.plane,
+                   self.submit_op(value, self._next_submission_key()))
 
     def submit_many(self, values: list[int]) -> list:
         """Submit many telemetry values with one batched request per server.
@@ -337,57 +355,19 @@ class PrivateAggregationClient:
         Each value is additively shared exactly as :meth:`submit` does; the
         whole batch is scattered in one shot — every ``(shard, server)`` pair
         serves its slice concurrently in simulated time. Returns one outcome
-        per value, in order: ``True`` for a fully accepted submission, or an
-        exception instance — :class:`ApplicationError` for an out-of-range or
-        rejected value, :class:`PartialSubmissionError` when only some servers
-        accepted the value's share (a torn submission the aggregate check will
-        catch).
+        per value, in order: ``True`` for a fully accepted submission, or the
+        exception :meth:`submit_op` raised for it. Out-of-range values take
+        no submission key.
         """
         self.session.checkpoint()
-        outcomes: list = [None] * len(values)
-        share_rows: dict[int, list[int]] = {}
-        keys: dict[int, str] = {}
-        for position, value in enumerate(values):
-            if not 0 <= value <= self.service.max_value:
-                outcomes[position] = ApplicationError(
-                    f"value {value} outside the allowed range "
-                    f"[0, {self.service.max_value}]"
-                )
-                continue
-            share_rows[position] = self._additive_shares(value, self.service.num_servers)
-            keys[position] = self._next_submission_key()
-        positions = sorted(share_rows)
-        accepted: dict[int, list[int]] = {position: [] for position in positions}
-        errors: dict[int, Exception] = {}
-        calls = [(keys[position], server_index, "submit_share",
-                  {"share": share_rows[position][server_index]})
-                 for server_index in range(self.service.num_servers)
-                 for position in positions]
-        results = self.session.scatter(calls)
-        cursor = 0
-        for server_index in range(self.service.num_servers):
-            for position in positions:
-                result = results[cursor]
-                cursor += 1
-                if isinstance(result, Exception):
-                    errors.setdefault(position, result)
-                elif not result["value"]["accepted"]:
-                    errors.setdefault(position, ApplicationError(
-                        f"server {server_index} rejected the share"
-                    ))
-                else:
-                    accepted[position].append(server_index)
-        for position in positions:
-            if position not in errors:
-                outcomes[position] = True
-            elif accepted[position]:
-                outcomes[position] = PartialSubmissionError(
-                    f"submission torn: servers {accepted[position]} accepted a share "
-                    "but another server did not", accepted[position],
-                )
-            else:
-                outcomes[position] = errors[position]
-        return outcomes
+        return run_batched(self.session.plane, [
+            self.submit_op(value, self._next_submission_key()
+                           if self._in_range(value) else None)
+            for value in values
+        ])
+
+    def _in_range(self, value: int) -> bool:
+        return 0 <= value <= self.service.max_value
 
     @staticmethod
     def _additive_shares(value: int, count: int) -> list[int]:

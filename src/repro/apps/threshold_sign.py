@@ -20,9 +20,10 @@ from repro.crypto.bilinear import BLS_SCALAR_ORDER, G1Element, G2Element
 from repro.crypto.bls import BlsSignature, BlsSignatureShare, BlsThresholdScheme
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.shamir import Share
-from repro.errors import ApplicationError, ReproError
+from repro.errors import ApplicationError
 from repro.sandbox.programs import bls_share_source
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
+from repro.service.waves import Wave, run_batched, run_inline
 
 __all__ = ["CustodyDeployment", "CustodyClient", "SignedTransaction"]
 
@@ -149,45 +150,6 @@ class CustodyDeployment:
                 return share
         raise ApplicationError(f"no signer with index {signer_index}")
 
-    # ------------------------------------------------------------------
-    # Signing (server side of one domain)
-    # ------------------------------------------------------------------
-    def sign_share_on_domain(self, signer_index: int, message: bytes) -> BlsSignatureShare:
-        """Ask one trust domain to produce its signature share for ``message``.
-
-        The message routes to its owning shard; every shard's signer
-        ``signer_index`` holds the same key share, so the result is
-        shard-independent.
-        """
-        share = self.share_for_signer(signer_index)
-        message_int = int.from_bytes(message, "big") if message else 0
-        result = self.plane.invoke(
-            message, signer_index, "bls_share",
-            [message_int, len(message), share.value, BLS_SCALAR_ORDER],
-        )
-        return BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
-
-    def sign_shares_on_domain(self, signer_index: int, messages: list[bytes]) -> list:
-        """Ask one signer for signature shares on many messages at once.
-
-        Messages scatter to their owning shards; each shard's signer domain
-        receives its slice as one batched request. Returns one outcome per
-        message, in order: a :class:`BlsSignatureShare`, or the exception
-        instance for a message whose share the domain failed to produce.
-        """
-        share = self.share_for_signer(signer_index)
-        calls = []
-        for message in messages:
-            message_int = int.from_bytes(message, "big") if message else 0
-            calls.append((message, signer_index, "bls_share",
-                          [message_int, len(message), share.value, BLS_SCALAR_ORDER]))
-        results = self.plane.scatter(calls)
-        return [
-            result if isinstance(result, Exception)
-            else BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
-            for result in results
-        ]
-
 
 class CustodyClient:
     """The asset owner's side: audit, request shares, combine, verify."""
@@ -207,111 +169,85 @@ class CustodyClient:
         """Audit the custody deployment; raises on any misbehavior."""
         return self.session.audit_compat()
 
-    def sign_transaction(self, message: bytes,
-                         signer_indices: list[int] | None = None) -> SignedTransaction:
-        """Collect ``t`` signature shares and combine them into one signature."""
-        self.session.checkpoint(message)
-        if signer_indices is None:
-            signer_indices = list(range(1, self.service.threshold + 1))
-        if len(signer_indices) < self.service.threshold:
+    def sign_op(self, message: bytes, candidates: list[int] | None = None):
+        """Collect ``t`` signature shares from whichever signers answer.
+
+        An op generator (see :mod:`repro.service.waves`): one need-``t``
+        wave over ``candidates`` (all signers by default), in order — signing
+        survives crashed or compromised signers as long as a threshold
+        remains honest and reachable. Combines and verifies the shares and
+        returns the :class:`SignedTransaction`; raises
+        :class:`ApplicationError` when fewer than ``t`` signers answered.
+        """
+        service = self.service
+        if candidates is None:
+            candidates = list(range(1, service.num_signers + 1))
+        message_int = int.from_bytes(message, "big") if message else 0
+        wave = Wave([
+            (message, signer_index, "bls_share",
+             [message_int, len(message),
+              service.share_for_signer(signer_index).value, BLS_SCALAR_ORDER])
+            for signer_index in candidates
+        ], need=service.threshold)
+        results = yield wave
+        partials = [BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
+                    for signer_index, result in zip(candidates, results)
+                    if wave.ok(result)]
+        if len(partials) < service.threshold:
             raise ApplicationError(
-                f"need at least {self.service.threshold} signers, got {len(signer_indices)}"
+                f"only {len(partials)} of the required {service.threshold} "
+                "signers produced a signature share"
             )
-        partials = [
-            self.service.sign_share_on_domain(index, message) for index in signer_indices
-        ]
-        signature = self.service.scheme.combine(partials)
-        if not self.service.scheme.verify(self.service.group_public_key, message, signature):
+        signature = service.scheme.combine(partials)
+        if not service.scheme.verify(service.group_public_key, message, signature):
             raise ApplicationError("combined threshold signature failed verification")
         return SignedTransaction(
-            message=message,
-            signature=signature,
-            signer_indices=tuple(signer_indices[: self.service.threshold]),
-        )
+            message=message, signature=signature,
+            signer_indices=tuple(partial.signer_index for partial in partials))
+
+    def sign_transaction(self, message: bytes,
+                         signer_indices: list[int] | None = None) -> SignedTransaction:
+        """Collect ``t`` signature shares and combine them into one signature.
+
+        Asks ``signer_indices`` (default: signers ``1..t``) in order; see
+        :meth:`sign_op`.
+        """
+        self.session.checkpoint(message)
+        return run_inline(self.session.plane,
+                          self.sign_op(message, self._signers(signer_indices)))
 
     def sign_transaction_failover(self, message: bytes,
                                   candidate_signers: list[int] | None = None) -> SignedTransaction:
-        """Collect ``t`` shares from whichever signers answer, then combine.
-
-        Walks ``candidate_signers`` (all signers by default) in order, skipping
-        any that are unreachable or refuse, until ``t`` signature shares are in
-        hand — the distributed-trust property in action: signing survives
-        crashed or compromised domains as long as a threshold remains honest
-        and reachable.
-
-        Raises:
-            ApplicationError: fewer than ``t`` signers produced a share.
-        """
+        """Collect ``t`` shares from whichever of ``candidate_signers`` (all
+        signers by default) answer, then combine; see :meth:`sign_op`."""
         self.session.checkpoint(message)
-        if candidate_signers is None:
-            candidate_signers = list(range(1, self.service.num_signers + 1))
-        partials = []
-        used = []
-        for index in candidate_signers:
-            try:
-                partials.append(self.service.sign_share_on_domain(index, message))
-            except ReproError:
-                continue  # crashed, partitioned, or compromised signer
-            used.append(index)
-            if len(partials) == self.service.threshold:
-                break
-        if len(partials) < self.service.threshold:
-            raise ApplicationError(
-                f"only {len(partials)} of the required {self.service.threshold} "
-                "signers produced a signature share"
-            )
-        signature = self.service.scheme.combine(partials)
-        if not self.service.scheme.verify(self.service.group_public_key, message, signature):
-            raise ApplicationError("combined threshold signature failed verification")
-        return SignedTransaction(message=message, signature=signature,
-                                 signer_indices=tuple(used))
+        return run_inline(self.session.plane,
+                          self.sign_op(message, candidate_signers))
 
     def sign_transactions(self, messages: list[bytes],
                           signer_indices: list[int] | None = None) -> list:
-        """Sign many transactions, collecting each signer's shares in one batch.
+        """Sign many transactions, asking the signers in merged batch waves.
 
-        Every signer produces its shares for the whole batch in a single
-        request; shares are then combined and verified per message. Returns
-        one outcome per message, in order: a :class:`SignedTransaction`, or
-        an :class:`ApplicationError` instance when fewer than ``t`` signers
-        produced a share for that message (failures are isolated per
-        message, not per batch).
+        The first ``t`` of ``signer_indices`` (default: signers ``1..t``)
+        produce their shares for the whole batch in one scatter; a message
+        still short asks the next signers in a further wave. Returns one
+        outcome per message, in order: a :class:`SignedTransaction`, or the
+        :class:`ApplicationError` instance of a message fewer than ``t``
+        signers answered (failures are isolated per message).
         """
         self.session.checkpoint()
+        signers = self._signers(signer_indices)
+        return run_batched(self.session.plane,
+                           [self.sign_op(message, signers) for message in messages])
+
+    def _signers(self, signer_indices: list[int] | None) -> list[int]:
         if signer_indices is None:
-            signer_indices = list(range(1, self.service.threshold + 1))
+            return list(range(1, self.service.threshold + 1))
         if len(signer_indices) < self.service.threshold:
             raise ApplicationError(
                 f"need at least {self.service.threshold} signers, got {len(signer_indices)}"
             )
-        per_signer = [
-            self.service.sign_shares_on_domain(signer_index, messages)
-            for signer_index in signer_indices
-        ]
-        outcomes = []
-        for message_index, message in enumerate(messages):
-            partials = [
-                shares[message_index] for shares in per_signer
-                if not isinstance(shares[message_index], Exception)
-            ][: self.service.threshold]
-            if len(partials) < self.service.threshold:
-                outcomes.append(ApplicationError(
-                    f"only {len(partials)} of the required {self.service.threshold} "
-                    "signers produced a signature share"
-                ))
-                continue
-            signature = self.service.scheme.combine(partials)
-            if not self.service.scheme.verify(self.service.group_public_key, message,
-                                              signature):
-                outcomes.append(ApplicationError(
-                    "combined threshold signature failed verification"
-                ))
-                continue
-            outcomes.append(SignedTransaction(
-                message=message, signature=signature,
-                signer_indices=tuple(p.signer_index for p in partials),
-            ))
-        return outcomes
+        return signer_indices
 
     def verify(self, transaction: SignedTransaction) -> bool:
         """Verify a signed transaction under the custody service's public key."""

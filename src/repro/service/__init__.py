@@ -14,8 +14,11 @@ layer that makes the claim concrete on the client side:
   behind keyed routing and scatter/gather batch invokes (send to every shard
   *before* pumping the network, so shard service time overlaps in sim time);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the session facade
-  (audit-before-use policies, at-most-once retries, failover walks, batch
-  chunking) the four app clients are thin adapters over;
+  (audit-before-use policies and keyed invokes) the four app clients are
+  thin adapters over;
+* :mod:`repro.service.waves` — each app operation written once, as a
+  generator of call waves, and the three executors that run it inline,
+  batched in lockstep, or on the discrete-event loop;
 * :mod:`repro.service.reshard` — epoch-based live resharding in both
   directions: grow or shrink a running service, migrate moved keys' state
   through the app's :class:`ShardMigrator` over the simulated network, and

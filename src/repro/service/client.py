@@ -3,10 +3,11 @@
 Every app client used to hand-roll the same glue: build an
 :class:`~repro.core.client.AuditingClient`, remember whether this session has
 audited yet, audit before (or on first) use, invoke with retries riding the
-at-most-once RPC layer, walk domains for failover, chunk batches.
+at-most-once RPC layer.
 :class:`ServiceClient` is that glue once, against the sharded service plane,
 so the four application clients shrink to the crypto and data-shaping that is
-genuinely theirs.
+genuinely theirs. Failover walks and batch waves are the op executors'
+business (:mod:`repro.service.waves`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.client import AuditingClient
-from repro.errors import ReproError, ServiceSpecError
+from repro.errors import ServiceSpecError
 from repro.service.sharded import ShardedService
 
 __all__ = ["ServiceClient"]
@@ -113,47 +114,8 @@ class ServiceClient:
             self.audit()
 
     # ------------------------------------------------------------------
-    # Invocation (thin, key-routed passthroughs)
+    # Invocation (a thin, key-routed passthrough)
     # ------------------------------------------------------------------
     def invoke(self, key, domain_index: int, entry: str, params) -> dict:
         """Invoke on ``key``'s shard (no implicit audit — see checkpoint)."""
         return self.plane.invoke(key, domain_index, entry, params)
-
-    def invoke_batch(self, key, domain_index: int, calls: list,
-                     chunk_size: int = 128) -> list:
-        """Batched invoke against ``key``'s shard."""
-        return self.plane.invoke_batch(key, domain_index, calls,
-                                       chunk_size=chunk_size)
-
-    def scatter(self, calls, chunk_size: int = 128) -> list:
-        """Keyed scatter/gather across shards (see ShardedService.scatter)."""
-        return self.plane.scatter(calls, chunk_size=chunk_size)
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def invoke_failover(self, key, domain_indices, entry: str, params,
-                        need: int = 1,
-                        accept: Callable[[dict], bool] | None = None) -> list:
-        """Walk domains on ``key``'s shard until ``need`` answers are in hand.
-
-        Unreachable or refusing domains (any :class:`~repro.errors.ReproError`)
-        are skipped; a result for which ``accept`` returns false is skipped
-        too. Returns up to ``need`` ``(domain_index, result)`` pairs — the
-        caller decides whether fewer than ``need`` is an error. This is the
-        shared shape of "recover from any threshold of domains" and "collect
-        a signing quorum from whichever signers answer".
-        """
-        deployment = self.plane.deployment_for(key)
-        collected = []
-        for domain_index in domain_indices:
-            try:
-                result = deployment.invoke(domain_index, entry, params)
-            except ReproError:
-                continue  # crashed, partitioned, or refusing domain
-            if accept is not None and not accept(result):
-                continue
-            collected.append((domain_index, result))
-            if len(collected) == need:
-                break
-        return collected

@@ -172,7 +172,16 @@ class ParallelShardExecutor:
                 self.shutdown()
                 raise RpcError(f"parallel worker {worker_index} did not "
                                f"come up within {_READY_TIMEOUT:.0f}s")
-            status, _, detail = conn.recv()
+            try:
+                status, _, detail = conn.recv()
+            except (EOFError, OSError):
+                # The worker died before reporting (its pipe hit EOF):
+                # collect its exit code, then stop the rest of the fleet.
+                process = self._processes[worker_index]
+                process.join(timeout=5.0)
+                self.shutdown()
+                raise RpcError(f"parallel worker {worker_index} died during "
+                               f"startup (exit code {process.exitcode})") from None
             if status != "ready":
                 self.shutdown()
                 raise RpcError(f"parallel worker {worker_index} failed to "

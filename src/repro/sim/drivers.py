@@ -1,13 +1,13 @@
 """Application drivers: the one per-app workload definition.
 
 A driver builds its app's deployment, draws a seeded list of operations (one
-per simulated client request), and runs them through the app's *public client
-API* — synchronously (:meth:`ScenarioDriver.step`), as a batched span
-(:meth:`ScenarioDriver.run_span`), or as a discrete-event generator
-(:meth:`ScenarioDriver.op_task`) — then checks the end state. The load
-harness, the scenario engine (both through :class:`~repro.sim.harness.OpLoop`)
-and the :class:`~repro.service.parallel.ParallelShardExecutor` workers all
-build their deployments from these classes."""
+per simulated client request), and hands each out as one op generator
+(:meth:`ScenarioDriver.op`) built on the app client's own op — which the
+executors of :mod:`repro.service.waves` run inline, batched in lockstep, or
+on the discrete-event loop — then checks the end state. The load harness,
+the scenario engine (both through :class:`~repro.sim.harness.OpLoop`) and the
+:class:`~repro.service.parallel.ParallelShardExecutor` workers all build
+their deployments from these classes."""
 
 from __future__ import annotations
 
@@ -57,9 +57,6 @@ class ScenarioDriver:
     """
 
     app_name = "?"
-    # Set by the harness when fault rules or events are active: batched
-    # spans then trade the minimal quorum for failover headroom.
-    robust = False
 
     def __init__(self, seed: int, ops: int, shards: int = 1,
                  regions: tuple = (), session: str = "scenario"):
@@ -84,23 +81,11 @@ class ScenarioDriver:
         """The key the plane routes operation ``op_index`` by."""
         raise NotImplementedError
 
-    def step(self, op_index: int) -> None:
-        """Run workload operation ``op_index``; raises ``ReproError`` on failure."""
-        raise NotImplementedError
+    def op(self, op_index: int):
+        """Workload operation ``op_index`` as a wave generator.
 
-    def run_span(self, start: int, count: int) -> list:
-        """Run ops ``start .. start+count`` through the batched API.
-
-        Returns one outcome per op, in order: an exception instance for a
-        failed op, anything else for a completed one.
-        """
-        raise NotImplementedError
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        """The op as a generator for the discrete-event loop.
-
-        Same wire traffic and bookkeeping as :meth:`step`, but yields while
-        its requests are outstanding so other ops can interleave.
+        Run it with any executor of :mod:`repro.service.waves`; it raises a
+        ``ReproError`` on failure and keeps the driver's bookkeeping.
         """
         raise NotImplementedError
 
@@ -146,41 +131,15 @@ class KeyBackupDriver(ScenarioDriver):
     def routing_key(self, op_index: int):
         return self.items[op_index][0]
 
-    def step(self, op_index: int) -> None:
+    def op(self, op_index: int):
         user, secret = self.items[op_index]
-        self.client.backup_key(user, secret)
-        self.backed_up.append((user, secret))
-        if self.client.recover_key_any(user) != secret:
-            raise ApplicationError(f"recovered key for {user!r} does not match the original")
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self.items[start:start + count]
-        outcomes = self.client.backup_keys(span)
-        stored = [position for position, outcome in enumerate(outcomes)
-                  if not isinstance(outcome, Exception)]
-        self.backed_up.extend(span[position] for position in stored)
-        recovered = self.client.recover_keys([span[position][0] for position in stored])
-        for position, value in zip(stored, recovered):
-            if isinstance(value, Exception):
-                outcomes[position] = value
-            elif value != span[position][1]:
-                outcomes[position] = ApplicationError(
-                    f"recovered key for {span[position][0]!r} does not match"
-                )
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import keybackup_op
-
-        user, secret = self.items[op_index]
+        yield from self.client.backup_op(user, secret)
         # backed_up records at store-completion (not op completion): the
         # record-conservation check must count a user whose shares all
         # landed even if the op's recover leg later failed.
-        return keybackup_op(
-            self.client, user, secret, timeout=timeout,
-            on_stored=lambda: self.backed_up.append((user, secret)))
+        self.backed_up.append((user, secret))
+        if (yield from self.client.recover_op(user)) != secret:
+            raise ApplicationError(f"recovered key for {user!r} does not match the original")
 
     def finish(self, ctx) -> list:
         summary = self.service.simulate_developer_compromise()
@@ -241,24 +200,10 @@ class ThresholdSignDriver(ScenarioDriver):
     def routing_key(self, op_index: int):
         return self._messages[op_index]
 
-    def step(self, op_index: int) -> None:
-        # The failover path verifies the combined signature before returning.
-        self.client.sign_transaction_failover(self._messages[op_index])
-
-    def run_span(self, start: int, count: int) -> list:
-        # Under faults, collect shares from every signer so per-message
-        # failover survives a crashed or compromised domain; on a clean
-        # network the minimal quorum signs (matching the unbatched path,
-        # whose failover also stops after ``threshold`` successes).
-        signers = (list(range(1, self.service.num_signers + 1))
-                   if self.robust else None)
-        return self.client.sign_transactions(self._messages[start:start + count],
-                                             signer_indices=signers)
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import sign_op
-
-        return sign_op(self.client, self._messages[op_index], timeout=timeout)
+    def op(self, op_index: int):
+        # Asks the first ``threshold`` signers and fails over to the rest;
+        # the op verifies the combined signature before returning.
+        return self.client.sign_op(self._messages[op_index])
 
     def finish(self, ctx) -> list:
         # Steal every key share the fallen TEEs expose and try to sign with
@@ -343,49 +288,23 @@ class PrioDriver(ScenarioDriver):
         self.failed_submissions = 0
 
     def routing_key(self, op_index: int):
-        # One submission per op, counter starts at zero, so the op's index
-        # is its submission index.
+        # One submission per op: the op's index is its submission index, in
+        # every execution mode.
         return self.client.submission_key(op_index)
 
-    def _note_failure(self, error: Exception) -> None:
-        if isinstance(error, PartialSubmissionError):
+    def op(self, op_index: int):
+        value = self._values[op_index]
+        try:
+            yield from self.client.submit_op(value, self.routing_key(op_index))
+        except PartialSubmissionError:
             self.torn_submissions += 1
-        else:
+            raise
+        except ReproError:
             # A "clean" failure from the client's view — but a server may
             # still have accepted a share whose response was lost in flight.
             self.failed_submissions += 1
-
-    def step(self, op_index: int) -> None:
-        value = self._values[op_index]
-        try:
-            self.client.submit(value)
-        except ReproError as exc:
-            self._note_failure(exc)
             raise
         self.accepted_values.append(value)
-
-    def run_span(self, start: int, count: int) -> list:
-        outcomes = self.client.submit_many(self._values[start:start + count])
-        for offset, outcome in enumerate(outcomes):
-            if outcome is True:
-                self.accepted_values.append(self._values[start + offset])
-            else:
-                self._note_failure(outcome)
-        return outcomes
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import prio_op
-
-        def task():
-            value = self._values[op_index]
-            try:
-                yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except ReproError as exc:
-                self._note_failure(exc)
-                raise
-            self.accepted_values.append(value)
-
-        return task()
 
     def consistency_issues(self) -> list[str]:
         if self.torn_submissions or self.failed_submissions:
@@ -499,33 +418,9 @@ class OdohDriver(ScenarioDriver):
             raise ApplicationError(f"wrong answer for {name!r}")
         self.resolved += 1
 
-    def step(self, op_index: int) -> None:
+    def op(self, op_index: int):
         name = self._names[op_index]
-        self._check(name, self.client.resolve(name))
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self._names[start:start + count]
-        outcomes = self.client.resolve_many(span)
-        for position, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                continue
-            try:
-                self._check(span[position], outcome)
-            except ApplicationError as exc:
-                outcomes[position] = exc
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import odoh_op
-
-        def task():
-            name = self._names[op_index]
-            response = yield from odoh_op(self.client, name, timeout=timeout)
-            self._check(name, response)
-
-        return task()
+        self._check(name, (yield from self.client.resolve_op(name)))
 
     def consistency_issues(self) -> list[str]:
         view = self.service.proxy_view()

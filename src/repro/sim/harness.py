@@ -5,7 +5,8 @@
 (:mod:`repro.sim.drivers`) through an :class:`OpLoop`: :meth:`OpLoop.routed`
 sets the plane up (network routing, service time, fault plan, epoch
 publisher, and the :class:`ScenarioContext` that scheduled events act on),
-one of the serial, batched or concurrent loops drives the ops, and
+one of the serial, batched or concurrent loops runs the driver's op
+generators through the matching executor of :mod:`repro.service.waves`, and
 :meth:`OpLoop.close` copies the tallies onto the harness's report. Each
 harness then adds its own verdict: consistency issues for a load run, audits
 and safety invariants for a scenario."""
@@ -19,6 +20,7 @@ from repro.core.package import CodePackage
 from repro.errors import ReproError, ReshardError
 from repro.net.latency import geo_profile, lan_profile
 from repro.net.transport import Network
+from repro.service.waves import run_batched, run_event, run_inline
 from repro.sim.adversary import ScheduledCompromise
 from repro.sim.coverage import CoverageRecorder
 from repro.sim.faults import (
@@ -377,7 +379,6 @@ class OpLoop:
         """
         plane = driver.plane
         deployment = driver.deployment
-        driver.robust = bool(rules or events)
         network = Network(clock=plane.clock, default_latency=lan_profile())
         plane.route_via_network(network, attempts=rpc_attempts)
         if regions:
@@ -424,19 +425,19 @@ class OpLoop:
             self.latencies.append((op_index, latency))
 
     def run_serial(self, ops: int) -> None:
-        """One op at a time, each through the driver's synchronous path."""
+        """One op at a time, each run inline with blocking invokes."""
         for op_index in range(ops):
             self.fire(op_index)
             started = self.clock.now()
             error = None
             try:
-                self.driver.step(op_index)
+                run_inline(self.driver.plane, self.driver.op(op_index))
             except ReproError as exc:
                 error = exc
             self.record(op_index, error, self.clock.now() - started)
 
     def run_spans(self, ops: int, batch_size: int) -> None:
-        """Spans of ``batch_size`` ops through the driver's batched API.
+        """Spans of ``batch_size`` ops, each span run batched in lockstep.
 
         Scheduled events fire at span boundaries (every event due inside
         the span fires before it starts), and each op carries its span's
@@ -447,7 +448,9 @@ class OpLoop:
             for op_index in range(start, start + count):
                 self.fire(op_index)
             started = self.clock.now()
-            outcomes = self.driver.run_span(start, count)
+            outcomes = run_batched(self.driver.plane, [
+                self.driver.op(op_index)
+                for op_index in range(start, start + count)])
             latency = self.clock.now() - started
             for offset, outcome in enumerate(outcomes):
                 self.record(start + offset,
@@ -473,7 +476,7 @@ class OpLoop:
         arrivals = random.Random(self.seed + 2)
         progress = {"in_flight": 0, "done": 0}
 
-        def op_task(op_index: int):
+        def task(op_index: int):
             reshards_before = len(ctx.reshard_reports)
             count_at_start = progress["in_flight"]
             self.fire(op_index)
@@ -486,7 +489,8 @@ class OpLoop:
             started = self.clock.now()
             error = None
             try:
-                yield from self.driver.op_task(ctx, op_index, timeout)
+                yield from run_event(self.driver.plane,
+                                     self.driver.op(op_index), timeout)
             except ReproError as exc:
                 error = exc
             finally:
@@ -503,7 +507,7 @@ class OpLoop:
         for op_index in range(ops):
             arrival_offset += arrivals.expovariate(
                 rate_for(op_index, arrival_rate, arrival_phases))
-            loop.spawn(op_task(op_index), name=f"op-{op_index}",
+            loop.spawn(task(op_index), name=f"op-{op_index}",
                        start_at=self.started + arrival_offset)
         loop.run()
         if ctx.autoscaler is not None:

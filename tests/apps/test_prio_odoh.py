@@ -145,6 +145,19 @@ class TestObliviousDns:
         with pytest.raises(ApplicationError):
             dns_service.handle_query(envelope)
 
+    def test_malformed_envelope_fails_as_application_error(self, dns_service,
+                                                           monkeypatch):
+        """A ``KeyError`` from decrypting the relayed envelope (a missing
+        field) surfaces as the typed ``ApplicationError`` the batched and
+        concurrent paths raise, not as a bare ``KeyError``."""
+        def missing_field(envelope):
+            raise KeyError("ciphertext")
+
+        monkeypatch.setattr(dns_service, "_decrypt_query", missing_field)
+        client = ObliviousDnsClient(dns_service, audit_before_use=False)
+        with pytest.raises(ApplicationError):
+            client.resolve("host1.example.com")
+
     def test_hot_shared_key_survives_cache_size_inserts(self):
         """Regression: a re-used ephemeral key must survive eviction pressure.
 

@@ -290,17 +290,6 @@ class TestServiceClient:
         with pytest.raises(MisbehaviorDetected):
             session.checkpoint()
 
-    def test_invoke_failover_skips_dead_domains(self):
-        plane = make_plane(shards=1, domains=3)
-        network = Network(clock=plane.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=1)
-        session = ServiceClient(plane, audit_policy="never")
-        for domain_index in range(3):
-            session.invoke("k", domain_index, "put", {"key": "k", "value": domain_index})
-        network.crash(plane.primary.domains[0].domain_id)
-        answers = session.invoke_failover("k", range(3), "get", {"key": "k"}, need=2)
-        assert [domain_index for domain_index, _ in answers] == [1, 2]
-
     def test_accepts_bare_deployment(self):
         package = CodePackage("bare", "1.0.0", "python", COUNTER_APP)
         deployment = Deployment("bare", DeveloperIdentity("bare-dev"))

@@ -191,13 +191,14 @@ class TestReshardScenarios:
         """A reshard the faults defeat is a scenario outcome: the context
         records the error (and the committed report, when migration already
         moved records) and the run continues to its invariants."""
+        from repro.service.waves import run_inline
         from repro.sim.adversary import ScheduledCompromise
         from repro.sim.scenarios import make_driver
         from repro.sim.scenarios.runner import ScenarioContext
 
         driver = make_driver("keybackup", 2022, 4, shards=2)
         for op_index in range(4):
-            driver.step(op_index)
+            run_inline(driver.plane, driver.op(op_index))
 
         def exploding_migrate(plane, source, target, keys):
             raise RuntimeError("boom")
