@@ -1,9 +1,11 @@
 """Throughput baselines: batching vs the seed path, shard scaling, resharding.
 
 Each run writes its series to ``BENCH_throughput.fresh.json`` at the
-repository root (git-ignored). The committed ``BENCH_throughput.json`` is the
-pinned reference — the CI wall floor reads it and no run rewrites it; re-pin
-by copying the fresh file over it. The series:
+repository root (git-ignored), with a ``host`` block (``nproc``, Python
+version, platform) naming the machine it measured on. The committed
+``BENCH_throughput.json`` is the pinned reference — the CI wall floor reads
+it and no run rewrites it; re-pin by copying the fresh file over it. The
+series:
 
 * **batched vs unbatched** — every app driven by the multi-client workload
   harness once issuing one RPC round trip per operation (the seed behavior)
@@ -17,8 +19,9 @@ by copying the fresh file over it. The series:
   shard's payload on the wire before pumping the network (see
   docs/architecture.md for the capacity model).
 * **reshard** — the same two apps running on 2 shards, grown to 4 *live* at
-  the midpoint of the run (``MultiClientWorkload(reshard_at_op=...)`` →
-  epoch-based migration, :mod:`repro.service.reshard`); the post-reshard
+  the midpoint of the run (a ``ReshardService`` event in
+  ``MultiClientWorkload(events=...)`` → epoch-based migration,
+  :mod:`repro.service.reshard`); the post-reshard
   segment's simulated throughput must reach ≥ 1.8x the full 2-shard
   baseline run. The series uses a heavier per-request service time than the
   sharded series so server capacity — the thing resharding changes —
@@ -67,11 +70,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import statistics
 
 import pytest
 
 from repro.sim import MultiClientWorkload
+from repro.sim.faults import ReshardService
 
 SMOKE = os.environ.get("THROUGHPUT_SMOKE") == "1"
 REPEATS = 2 if SMOKE else 3
@@ -284,8 +289,9 @@ def test_reshard_throughput_app(app):
                   batch_size=ops // 2, shards=RESHARD_FROM,
                   service_time=RESHARD_SERVICE_TIME, rpc_attempts=1)
     baseline = MultiClientWorkload(app, **common).run()
-    resharded = MultiClientWorkload(app, reshard_at_op=ops // 2,
-                                    reshard_to=RESHARD_TO, **common).run()
+    resharded = MultiClientWorkload(
+        app, events=(ReshardService(at_op=ops // 2, shards=RESHARD_TO),),
+        **common).run()
     for report in (baseline, resharded):
         assert report.succeeded == report.ops, (
             f"{app} reshard series: {report.failed} operations failed: "
@@ -624,6 +630,15 @@ def test_audit_checkpoint_cost_sublinear():
     )
 
 
+def _host() -> dict:
+    """The machine this run measured on: a wall figure means nothing
+    without it."""
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return {"nproc": nproc, "python": platform.python_version(),
+            "platform": platform.platform()}
+
+
 def test_write_throughput_baseline():
     """Aggregate the per-app results into BENCH_throughput.fresh.json."""
     missing = [app for app in OPS if app not in _RESULTS]
@@ -647,6 +662,7 @@ def test_write_throughput_baseline():
         if result["post_reshard_scaling"] >= RESHARD_MIN_SCALING)
     baseline = {
         "benchmark": "throughput",
+        "host": _host(),
         "smoke": SMOKE,
         "repeats_median_of": REPEATS,
         "batch_size": BATCH_SIZE,

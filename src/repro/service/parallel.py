@@ -31,9 +31,11 @@ What this mode is and is not:
 Shard ``i`` is owned by worker ``i % workers``; every request addressed to a
 domain of shard ``i`` is serviced by that worker's copy of the deployment, so
 per-shard state (stored key shares, accepted submissions, proxy views) stays
-exactly as consistent as the serial engine keeps it. Consistency checks and
-post-run reads route through the same executor and therefore see worker
-state, not the parent's stale copy.
+exactly as consistent as the serial engine keeps it. End-state checks (the
+drivers' ``finish()`` invariants) and post-run reads route through the same
+executor and therefore see worker state, not the parent's stale copy. A
+worker that dies mid-run surfaces as an ``RpcError`` naming it and its exit
+code on the next request to it, never as a bare pipe error or a hang.
 """
 
 from __future__ import annotations
@@ -177,11 +179,9 @@ class ParallelShardExecutor:
             except (EOFError, OSError):
                 # The worker died before reporting (its pipe hit EOF):
                 # collect its exit code, then stop the rest of the fleet.
-                process = self._processes[worker_index]
-                process.join(timeout=5.0)
+                error = self._died(worker_index, "during startup")
                 self.shutdown()
-                raise RpcError(f"parallel worker {worker_index} died during "
-                               f"startup (exit code {process.exitcode})") from None
+                raise error from None
             if status != "ready":
                 self.shutdown()
                 raise RpcError(f"parallel worker {worker_index} failed to "
@@ -191,6 +191,14 @@ class ParallelShardExecutor:
             for domain in shard.domains:
                 self._owner[domain.domain_id] = owner
         self._started = True
+
+    def _died(self, worker_index: int, when: str) -> RpcError:
+        """The typed error for a worker whose pipe broke: it names the
+        worker and the exit code it left behind."""
+        process = self._processes[worker_index]
+        process.join(timeout=5.0)
+        return RpcError(f"parallel worker {worker_index} died {when} "
+                        f"(exit code {process.exitcode})")
 
     def shutdown(self) -> None:
         """Stop every worker (sentinel first, terminate stragglers)."""
@@ -229,7 +237,10 @@ class ParallelShardExecutor:
         if owner is None:
             raise RpcError(f"no parallel worker serves address {address!r}")
         seq = next(self._seq)
-        self._connections[owner].send((seq, address, source, payload))
+        try:
+            self._connections[owner].send((seq, address, source, payload))
+        except OSError:  # BrokenPipeError / ConnectionResetError
+            raise self._died(owner, f"before request {seq}") from None
         self._seq_worker[seq] = owner
         self.requests_sent += 1
         return seq
@@ -248,9 +259,8 @@ class ParallelShardExecutor:
                                    f"response for request {seq}")
             try:
                 got_seq, response, error = conn.recv()
-            except EOFError:
-                raise RpcError(f"parallel worker {owner} died while "
-                               f"serving request {seq}") from None
+            except (EOFError, OSError):
+                raise self._died(owner, f"while serving request {seq}") from None
             self._seq_worker.pop(got_seq, None)
             if error is not None:
                 raise RpcError(f"parallel worker {owner} failed request "

@@ -89,12 +89,14 @@ class ScenarioDriver:
         """
         raise NotImplementedError
 
-    def consistency_issues(self) -> list[str]:
-        """End-of-run state problems the load harness reports (none by default)."""
-        return []
+    def finish(self, reshards: list) -> list:
+        """Application-specific invariants over the end state of a run.
 
-    def finish(self, ctx) -> list:
-        """Application-specific safety invariants, checked after a scenario."""
+        The one end-state check of both harnesses: a scenario adds these to
+        its verdicts, a load run reports the failing ones as its consistency
+        issues. ``reshards`` lists the run's epoch transitions (the
+        :class:`~repro.service.reshard.ReshardReport` of each).
+        """
         raise NotImplementedError
 
     def audit_outcome(self):
@@ -141,7 +143,7 @@ class KeyBackupDriver(ScenarioDriver):
         if (yield from self.client.recover_op(user)) != secret:
             raise ApplicationError(f"recovered key for {user!r} does not match the original")
 
-    def finish(self, ctx) -> list:
+    def finish(self, reshards: list) -> list:
         summary = self.service.simulate_developer_compromise()
         breached = summary["shares_recoverable"]
         ok = breached < self.service.threshold and not summary["key_recoverable"]
@@ -150,7 +152,7 @@ class KeyBackupDriver(ScenarioDriver):
             f"attacker reads {breached} of {self.service.num_domains} shares, "
             f"threshold is {self.service.threshold}",
         )]
-        if ctx.resharded:
+        if reshards:
             invariants.append(self._conservation_invariant())
         return invariants
 
@@ -205,7 +207,7 @@ class ThresholdSignDriver(ScenarioDriver):
         # the op verifies the combined signature before returning.
         return self.client.sign_op(self._messages[op_index])
 
-    def finish(self, ctx) -> list:
+    def finish(self, reshards: list) -> list:
         # Steal every key share the fallen TEEs expose and try to sign with
         # them alone: below the threshold the forgery must be impossible.
         # Shares are replicated across shards, so stealing signer i's share on
@@ -236,13 +238,13 @@ class ThresholdSignDriver(ScenarioDriver):
                       "forgery with sub-threshold shares unexpectedly combined")
         invariants = [_invariant("stolen-shares-cannot-sign-below-threshold",
                                  ok, detail)]
-        if ctx.resharded:
-            invariants.append(self._reshard_signing_invariant(ctx))
+        if reshards:
+            invariants.append(self._reshard_signing_invariant(reshards))
         return invariants
 
-    def _reshard_signing_invariant(self, ctx):
+    def _reshard_signing_invariant(self, reshards: list):
         """A grown shard's replicated signer group signs under the same key."""
-        old_count = min(r.old_shard_count for r in ctx.reshard_reports)
+        old_count = min(r.old_shard_count for r in reshards)
         probe = None
         for attempt in range(256):
             candidate = f"reshard-probe-{attempt}".encode()
@@ -306,32 +308,7 @@ class PrioDriver(ScenarioDriver):
             raise
         self.accepted_values.append(value)
 
-    def consistency_issues(self) -> list[str]:
-        if self.torn_submissions or self.failed_submissions:
-            # A failed or torn submission may have reached a subset of the
-            # servers; either they still agree and the sum is exact, or the
-            # aggregate must refuse. Both are consistent outcomes.
-            try:
-                self.service.aggregate()
-            except ApplicationError:
-                pass
-            return []
-        result = self.service.aggregate()
-        expected = sum(self.accepted_values) % FIELD_MODULUS
-        issues = []
-        if result["sum"] != expected:
-            issues.append(
-                f"aggregate sum {result['sum']} != expected {expected} "
-                f"over {len(self.accepted_values)} accepted submissions"
-            )
-        if result["submissions"] != len(self.accepted_values):
-            issues.append(
-                f"servers counted {result['submissions']} submissions, "
-                f"client had {len(self.accepted_values)} accepted"
-            )
-        return issues
-
-    def finish(self, ctx) -> list:
+    def finish(self, reshards: list) -> list:
         invariants = []
         # Aggregation needs every server (the sum of all share vectors), so a
         # compromised or otherwise refusing server is a *refusal*, never a
@@ -422,16 +399,7 @@ class OdohDriver(ScenarioDriver):
         name = self._names[op_index]
         self._check(name, (yield from self.client.resolve_op(name)))
 
-    def consistency_issues(self) -> list[str]:
-        view = self.service.proxy_view()
-        leaked = [item for item in view if not isinstance(item, int)]
-        if leaked:
-            return [f"proxy recorded non-length data: {leaked[:3]!r}"]
-        if len(view) < self.resolved:
-            return [f"proxy view covers {len(view)} queries but {self.resolved} resolved"]
-        return []
-
-    def finish(self, ctx) -> list:
+    def finish(self, reshards: list) -> list:
         view = self.service.proxy_view()
         leaked = [item for item in view if not isinstance(item, int)]
         names_seen = [item for item in view if item in self.records]
@@ -444,7 +412,7 @@ class OdohDriver(ScenarioDriver):
             f"proxy recorded {len(view)} ciphertext lengths and zero names "
             f"across {self.resolved} resolutions",
         )]
-        if ctx.resharded:
+        if reshards:
             invariants.append(self._conservation_invariant())
         return invariants
 

@@ -7,9 +7,10 @@ sets the plane up (network routing, service time, fault plan, epoch
 publisher, and the :class:`ScenarioContext` that scheduled events act on),
 one of the serial, batched or concurrent loops runs the driver's op
 generators through the matching executor of :mod:`repro.service.waves`, and
-:meth:`OpLoop.close` copies the tallies onto the harness's report. Each
-harness then adds its own verdict: consistency issues for a load run, audits
-and safety invariants for a scenario."""
+:meth:`OpLoop.close` copies the tallies onto the harness's report (the
+shared :class:`~repro.sim.metrics.RunReport` core). Both harnesses judge the
+end state with the driver's ``finish()`` invariants; a scenario adds audits
+and the generic safety invariants."""
 
 from __future__ import annotations
 
@@ -31,10 +32,12 @@ from repro.sim.faults import (
     HealLink,
     PartitionLink,
     RecoverParty,
+    ReshardService,
     UnannouncedUpdate,
 )
+from repro.sim.metrics import summarize
 
-__all__ = ["ScenarioContext", "OpLoop", "check_arrival_phases", "rate_for"]
+__all__ = ["ScenarioContext", "OpLoop", "check_run_shape", "rate_for"]
 
 
 class ScenarioContext:
@@ -286,11 +289,6 @@ class ScenarioContext:
         if self.autoscaler is None:
             self.autoscaler = Autoscaler(self.plane, policy)
 
-    @property
-    def resharded(self) -> bool:
-        """Whether any epoch transition ran during this scenario."""
-        return bool(self.reshard_reports)
-
     def push_unannounced_update(self, domain_index: int, version_suffix: str) -> None:
         """Sign and install an update on one domain without publishing it.
 
@@ -311,8 +309,23 @@ class ScenarioContext:
         self.unannounced_digests.append(evil.digest())
 
 
-def check_arrival_phases(arrival_phases, ops: int) -> None:
-    """Reject ``(start_op, rate)`` phases that do not shape a run of ``ops``."""
+def check_run_shape(ops: int, *, shards: int, service_time: float,
+                    concurrent: bool, arrival_rate: float,
+                    arrival_phases: tuple, events: tuple) -> None:
+    """Reject a run of ``ops`` ops that either harness would run wrongly.
+
+    ``arrival_phases`` are ``(start_op, rate)`` pairs with ascending start
+    ops. Every scheduled event must fall inside the run: one at
+    ``at_op >= ops`` would never fire, and the run would pass without it.
+    """
+    if shards < 1:
+        raise ValueError("a run needs at least one shard")
+    if service_time < 0:
+        raise ValueError("service_time cannot be negative")
+    if concurrent and arrival_rate <= 0:
+        raise ValueError("concurrent mode needs a positive arrival_rate")
+    if arrival_phases and not concurrent:
+        raise ValueError("arrival_phases only shape concurrent runs")
     previous = -1
     for start_op, rate in arrival_phases:
         if not 0 <= start_op < ops:
@@ -322,6 +335,9 @@ def check_arrival_phases(arrival_phases, ops: int) -> None:
         if rate <= 0:
             raise ValueError("every phase rate must be positive")
         previous = start_op
+    for event in events:
+        if not 0 <= event.at_op < ops:
+            raise ValueError(f"{event!r} falls outside the run's {ops} ops")
 
 
 def rate_for(op_index: int, arrival_rate: float, arrival_phases=()) -> float:
@@ -344,8 +360,8 @@ class OpLoop:
     events — parallel mode's span loop over worker pipes.
     ``count_failed_latency`` decides whether failed ops enter
     :attr:`latencies`, the samples a report summarizes and the autoscaler's
-    p99 window. ``before_op``, when set, runs ahead of each op's scheduled
-    events (the load harness's ``reshard_at_op``).
+    p99 window. :attr:`reshard_segment` holds the load report's segment
+    fields (see :meth:`fire`); it stays empty when no event resharded.
     """
 
     def __init__(self, driver, ctx: ScenarioContext | None = None,
@@ -357,7 +373,7 @@ class OpLoop:
         self.seed = seed
         self.count_failed_latency = count_failed_latency
         self.clock = driver.plane.clock
-        self.before_op = None
+        self.reshard_segment: dict = {}
         self.succeeded = 0
         self.failed = 0
         self.failures: list[tuple[int, str]] = []  # (op index, error type name)
@@ -403,15 +419,43 @@ class OpLoop:
                    count_failed_latency=count_failed_latency)
 
     def fire(self, op_index: int) -> None:
-        """Apply everything scheduled before operation ``op_index``."""
-        if self.ctx is None:
+        """Apply everything scheduled before operation ``op_index``.
+
+        The first event that runs an epoch transition, committed or failed,
+        records :attr:`reshard_segment`: ops succeeded and sim time spent
+        before it, the migration's own sim time, and its summary (with
+        ``"error"`` when it failed).
+        """
+        ctx = self.ctx
+        if ctx is None:
             return
-        self.ctx.current_op = op_index
-        if self.before_op is not None:
-            self.before_op(op_index)
+        ctx.current_op = op_index
         for event in self.plan.events_at(op_index):
-            event.apply(self.ctx)
-            self.ctx.note_event(event)
+            before = self.clock.now()
+            reports, errors = len(ctx.reshard_reports), len(ctx.reshard_errors)
+            event.apply(ctx)
+            ctx.note_event(event)
+            if self.reshard_segment:
+                continue
+            summary = (ctx.reshard_reports[-1].to_dict()
+                       if len(ctx.reshard_reports) > reports else {})
+            if len(ctx.reshard_errors) > errors:
+                summary["error"] = ctx.reshard_errors[-1]
+            if not summary:
+                continue  # the event ran no epoch transition
+            # Ring coverage, not attached-shard count: a shrink that left a
+            # retiring shard draining (pinned keys) has still committed its
+            # epoch and serves at the new width.
+            ring = ctx.plane.ring.shard_count
+            target = event.shards if isinstance(event, ReshardService) else ring
+            self.reshard_segment = {
+                "resharded": ring == target,
+                "reshard_to": target,
+                "ops_before_reshard": self.succeeded,
+                "sim_seconds_before_reshard": before - self.started,
+                "reshard_sim_seconds": self.clock.now() - before,
+                "reshard_summary": summary,
+            }
 
     def record(self, op_index: int, error: Exception | None,
                latency: float) -> None:
@@ -553,9 +597,10 @@ class OpLoop:
                     recorder.set_shards(ctx.plane.ring.shard_count)
 
     def close(self, report) -> None:
-        """Copy the tallies and transport counters onto ``report`` (a
-        ``WorkloadReport`` or ``ScenarioReport``: both carry these fields),
-        then restore in-process invocation on the plane."""
+        """Fill ``report``'s :class:`~repro.sim.metrics.RunReport` core,
+        then restore in-process invocation on the plane. A loop without
+        ``ctx`` (parallel mode) has no simulated network or clock, so it
+        leaves the latency and transport figures unset."""
         plane = self.driver.plane
         report.succeeded = self.succeeded
         report.failed = self.failed
@@ -565,6 +610,9 @@ class OpLoop:
         report.retries = plane.rpc_retry_total()
         report.final_shards = plane.ring.shard_count
         if self.ctx is not None:
+            if self.latencies:
+                report.latency = summarize(
+                    [latency for _, latency in self.latencies])
             report.shard_queue_depth = plane.max_queue_depth_per_shard()
             stats = self.ctx.network.stats
             report.messages_sent = stats.messages_sent

@@ -1,11 +1,11 @@
-"""Latency statistics for the benchmark harness."""
+"""Latency statistics and the report core shared by both harnesses."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["LatencyStats", "summarize"]
+__all__ = ["LatencyStats", "summarize", "RunReport"]
 
 
 @dataclass(frozen=True)
@@ -97,3 +97,56 @@ def summarize(samples: list[float]) -> LatencyStats:
         maximum=ordered[-1],
         stddev=math.sqrt(variance),
     )
+
+
+@dataclass(kw_only=True)
+class RunReport:
+    """What every run reports, load run and scenario alike.
+
+    :meth:`repro.sim.harness.OpLoop.close` fills these fields;
+    :class:`~repro.sim.workload.WorkloadReport` and
+    :class:`~repro.sim.scenarios.spec.ScenarioReport` add their own on top
+    (each defines ``ops``) and print the shared lines with the helpers below.
+    """
+
+    succeeded: int = 0
+    failed: int = 0
+    failures: list = field(default_factory=list)  # (op index, error type name)
+    retries: int = 0
+    messages_sent: int = 0
+    messages_delivered: int = 0
+    messages_dropped: int = 0
+    messages_duplicated: int = 0
+    latency: LatencyStats | None = None
+    max_in_flight: int = 0  # concurrent runs only
+    in_flight_at_reshard: int = 0
+    # Per-shard high-water mark of requests queued behind the serial service
+    # queues (max over the shard's domains).
+    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
+    autoscale_decisions: list = field(default_factory=list)  # decision dicts
+    final_shards: int = 0
+
+    @property
+    def success_rate(self) -> float:
+        """Fraction of operations that completed end to end."""
+        if self.ops == 0:
+            return 0.0
+        return self.succeeded / self.ops
+
+    def _network_line(self) -> str:
+        return (f"  network: sent={self.messages_sent} "
+                f"delivered={self.messages_delivered} "
+                f"dropped={self.messages_dropped} "
+                f"duplicated={self.messages_duplicated}")
+
+    def _in_flight_line(self, resharded: bool) -> str:
+        at_reshard = (f" (at reshard: {self.in_flight_at_reshard})"
+                      if resharded else "")
+        return f"  in-flight: max={self.max_in_flight}{at_reshard}"
+
+    def _queue_depth_lines(self) -> list[str]:
+        if not any(self.shard_queue_depth.values()):
+            return []
+        depths = " ".join(f"s{shard}:{depth}" for shard, depth
+                          in sorted(self.shard_queue_depth.items()))
+        return [f"  max queue depth: {depths}"]

@@ -25,7 +25,6 @@ from repro.errors import ReproError
 from repro.sim.coverage import CoverageRecorder
 from repro.sim.drivers import make_driver
 from repro.sim.harness import OpLoop, ScenarioContext
-from repro.sim.metrics import summarize
 from repro.sim.scenarios.spec import InvariantResult, Scenario, ScenarioReport
 from repro.transparency.log import DigestLog
 
@@ -81,9 +80,6 @@ class ScenarioRunner:
         # of shards grown by a mid-run reshard are counted too.
         report.duplicates_answered = plane.duplicates_answered_total()
         report.sim_elapsed_s = run.clock.now() - run.started
-        # Failed ops count too: a scenario's latency is what every user saw.
-        latencies = [latency for _, latency in run.latencies]
-        report.latency = summarize(latencies) if latencies else None
         report.reshards = list(ctx.reshard_reports)
 
         report.audit_ok, kinds = driver.audit_outcome()
@@ -102,7 +98,7 @@ class ScenarioRunner:
         report.epoch_audits = list(ctx.epoch_audits)
         report.invariants = self._generic_invariants(ctx, report, log_baseline,
                                                      bundle_verdicts)
-        report.invariants.extend(driver.finish(ctx))
+        report.invariants.extend(driver.finish(ctx.reshard_reports))
         report.coverage_cells = frozenset(recorder.cells)
         return report
 
@@ -117,7 +113,7 @@ class ScenarioRunner:
                       self._audit_invariant(report)]
         if ctx.unannounced_digests:
             invariants.append(self._unannounced_update_invariant(ctx, report))
-        if ctx.resharded:
+        if ctx.reshard_reports:
             invariants.append(self._reshard_invariant(ctx))
         if bundle_verdicts:
             invariants.append(self._epoch_bundle_invariant(ctx, bundle_verdicts))

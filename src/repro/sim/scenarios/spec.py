@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.coverage import cell_id
-from repro.sim.harness import check_arrival_phases
-from repro.sim.metrics import LatencyStats
+from repro.sim.harness import check_run_shape
+from repro.sim.metrics import RunReport
 
 __all__ = ["Scenario", "InvariantResult", "ScenarioReport"]
 
@@ -90,14 +90,13 @@ class Scenario:
             raise ValueError(f"unknown scenario app {self.app!r} (expected one of {APPS})")
         if self.ops < 1:
             raise ValueError("a scenario needs at least one operation")
-        if self.shards < 1:
-            raise ValueError("a scenario needs at least one shard")
+        check_run_shape(self.ops, shards=self.shards,
+                        service_time=self.service_time,
+                        concurrent=self.concurrent,
+                        arrival_rate=self.arrival_rate,
+                        arrival_phases=self.arrival_phases, events=self.events)
         if not 0.0 <= self.min_success_rate <= 1.0:
             raise ValueError("min_success_rate must be within [0, 1]")
-        if self.concurrent and self.arrival_rate <= 0:
-            raise ValueError("a concurrent scenario needs a positive arrival_rate")
-        if self.service_time < 0:
-            raise ValueError("service_time cannot be negative")
         if self.regions:
             from repro.net.latency import GEO_REGIONS
 
@@ -109,10 +108,6 @@ class Scenario:
             if len(set(self.regions)) < 2:
                 raise ValueError("a geo scenario needs at least two distinct "
                                  "regions (omit regions for single-region)")
-        if self.arrival_phases:
-            if not self.concurrent:
-                raise ValueError("arrival_phases only shape concurrent scenarios")
-            check_arrival_phases(self.arrival_phases, self.ops)
 
 
 @dataclass(frozen=True)
@@ -125,21 +120,13 @@ class InvariantResult:
 
 
 @dataclass
-class ScenarioReport:
-    """Everything one scenario run produced."""
+class ScenarioReport(RunReport):
+    """Everything one scenario run produced (the shared core is
+    :class:`~repro.sim.metrics.RunReport`)."""
 
     scenario: Scenario
-    succeeded: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)  # (op_index, error type name)
-    retries: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
     duplicates_answered: int = 0
     sim_elapsed_s: float = 0.0
-    latency: LatencyStats | None = None
     audit_ok: bool = True
     detected_kinds: tuple = ()
     invariants: list = field(default_factory=list)
@@ -148,13 +135,6 @@ class ScenarioReport:
     # bundle per probe (op/index/fetched/ok/failing/forged), fetched over
     # the simulated network by the standalone auditor.
     epoch_audits: list = field(default_factory=list)
-    # Discrete-event concurrency (populated for concurrent scenarios).
-    max_in_flight: int = 0
-    in_flight_at_reshard: int = 0
-    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
-    # Elastic control loop (populated when an AutoscaleEnabled event ran).
-    autoscale_decisions: list = field(default_factory=list)  # decision dicts
-    final_shards: int = 0
     # Pairwise coverage cells this run touched (see repro.sim.coverage).
     coverage_cells: frozenset = frozenset()
 
@@ -162,13 +142,6 @@ class ScenarioReport:
     def ops(self) -> int:
         """Total operations attempted."""
         return self.succeeded + self.failed
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of workload operations that completed end to end."""
-        if self.ops == 0:
-            return 0.0
-        return self.succeeded / self.ops
 
     @property
     def all_invariants_ok(self) -> bool:
@@ -192,11 +165,8 @@ class ScenarioReport:
             f"success={self.success_rate * 100:.1f}% (floor {self.scenario.min_success_rate * 100:.1f}%) "
             f"retries={self.retries}"
         )
-        lines.append(
-            f"  network: sent={self.messages_sent} delivered={self.messages_delivered} "
-            f"dropped={self.messages_dropped} duplicated={self.messages_duplicated} "
-            f"dedup-answers={self.duplicates_answered}"
-        )
+        lines.append(self._network_line()
+                     + f" dedup-answers={self.duplicates_answered}")
         if self.latency is not None:
             lines.append(
                 f"  latency: mean={self.latency.mean_ms():.3f} ms "
@@ -211,15 +181,8 @@ class ScenarioReport:
                 f"moved, {reshard.pending} pinned"
             )
         if self.scenario.concurrent:
-            lines.append(
-                f"  in-flight: max={self.max_in_flight}"
-                + (f" (at reshard: {self.in_flight_at_reshard})"
-                   if self.reshards else "")
-            )
-        if any(self.shard_queue_depth.values()):
-            depths = " ".join(f"s{shard}:{depth}" for shard, depth
-                              in sorted(self.shard_queue_depth.items()))
-            lines.append(f"  max queue depth: {depths}")
+            lines.append(self._in_flight_line(bool(self.reshards)))
+        lines += self._queue_depth_lines()
         if self.autoscale_decisions:
             fired = [d for d in self.autoscale_decisions if d.get("fired")]
             gated = [d for d in self.autoscale_decisions if d.get("gated_by")]

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.sim.metrics import LatencyStats, summarize
+from repro.sim.metrics import RunReport, summarize
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "MultiClientWorkload"]
 
@@ -66,32 +66,24 @@ class WorkloadGenerator:
 
 
 @dataclass
-class WorkloadReport:
-    """Everything one load run produced."""
+class WorkloadReport(RunReport):
+    """Everything one load run produced (the shared core is :class:`RunReport`)."""
 
     app: str
     num_clients: int
     ops: int
-    succeeded: int = 0
-    failed: int = 0
     batched: bool = True
     batch_size: int = 0
     shards: int = 1
     service_time: float = 0.0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    retries: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    failures: list = field(default_factory=list)  # (op index, error type name)
     consistency_issues: list = field(default_factory=list)
-    latency: LatencyStats | None = None
     # Per-shard breakdown: sim latency stats for the operations routed to
     # each shard (batched ops carry their span's completion latency).
     shard_latency: dict = field(default_factory=dict)  # shard -> LatencyStats
-    # Live-reshard segmentation (populated when reshard_at_op fires).
+    # Live-reshard segmentation: the first epoch transition a scheduled
+    # event performed (see OpLoop.fire).
     resharded: bool = False
     reshard_to: int = 0
     ops_before_reshard: int = 0
@@ -101,17 +93,9 @@ class WorkloadReport:
     # Discrete-event concurrency (populated when concurrent=True).
     concurrent: bool = False
     arrival_rate: float = 0.0
-    max_in_flight: int = 0
-    in_flight_at_reshard: int = 0
     # Elastic control loop (populated when an autoscale policy is installed).
     autoscaled: bool = False
-    final_shards: int = 0
-    autoscale_decisions: list = field(default_factory=list)  # decision dicts
     autoscale_reshards: list = field(default_factory=list)   # report dicts
-    # Per-shard high-water mark of requests queued behind the serial service
-    # queues (max over the shard's domains). Populated for every mode; only
-    # a concurrent run with a non-zero service time can push it above 1.
-    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
     # True-parallel execution (populated when parallel=True): shards served
     # by worker *processes* over OS pipes. Wall-clock only — sim_seconds
     # stays 0.0 because no simulated clock spans the processes, and a
@@ -165,13 +149,6 @@ class WorkloadReport:
         return self.succeeded / self.sim_seconds
 
     @property
-    def success_rate(self) -> float:
-        """Fraction of operations that completed end to end."""
-        if self.ops == 0:
-            return 0.0
-        return self.succeeded / self.ops
-
-    @property
     def consistent(self) -> bool:
         """Whether the end-of-run application state matched the accepted ops."""
         return not self.consistency_issues
@@ -197,8 +174,7 @@ class WorkloadReport:
             f"  throughput: {self.ops_per_sec:.0f} ops/sec "
             f"(wall {self.wall_seconds:.3f}s, sim {self.sim_seconds * 1000:.1f} ms) "
             f"retries={self.retries}",
-            f"  network: sent={self.messages_sent} delivered={self.messages_delivered} "
-            f"dropped={self.messages_dropped} duplicated={self.messages_duplicated}",
+            self._network_line(),
         ]
         if self.latency is not None:
             lines.append(
@@ -213,11 +189,7 @@ class WorkloadReport:
             )
             lines.append(f"  per-shard: {per_shard}")
         if self.concurrent:
-            lines.append(
-                f"  in-flight: max={self.max_in_flight}"
-                + (f" (at reshard: {self.in_flight_at_reshard})"
-                   if self.resharded else "")
-            )
+            lines.append(self._in_flight_line(self.resharded))
         if self.autoscaled:
             fired = [d for d in self.autoscale_decisions if d.get("fired")]
             moves = " -> ".join(
@@ -229,10 +201,7 @@ class WorkloadReport:
                 f"{len(self.autoscale_decisions)} decisions, "
                 f"final={self.final_shards})"
             )
-        if any(self.shard_queue_depth.values()):
-            depths = " ".join(f"s{shard}:{depth}" for shard, depth
-                              in sorted(self.shard_queue_depth.items()))
-            lines.append(f"  max queue depth: {depths}")
+        lines += self._queue_depth_lines()
         if self.resharded:
             lines.append(
                 f"  reshard: at op {self.ops_before_reshard}, "
@@ -295,6 +264,12 @@ class WorkloadReport:
         }
 
 
+def _issues(invariants) -> list[str]:
+    """A driver's failing ``finish()`` invariants as ``"name: detail"``."""
+    return [f"{result.name}: {result.detail}"
+            for result in invariants if not result.ok]
+
+
 class MultiClientWorkload:
     """Simulates many concurrent users driving one application over the network.
 
@@ -324,15 +299,14 @@ class MultiClientWorkload:
             docs/architecture.md).
         rules: probabilistic :class:`~repro.sim.faults.FaultRule` instances.
         events: scheduled :class:`~repro.sim.faults.ScheduledEvent` instances.
+            A :class:`~repro.sim.faults.ReshardService` (or
+            :class:`~repro.sim.faults.ShrinkService`) event resizes the
+            service *live* before its op (a batched run fires it at the
+            containing span boundary); the report then carries per-segment
+            simulated throughput so the pre- and post-reshard capacity can
+            be compared.
         rpc_attempts: send attempts per request (retries are safe against the
             at-most-once servers).
-        reshard_at_op: resize the service *live* just before this operation
-            index (a batched run fires it at the containing span boundary);
-            the report then carries per-segment simulated throughput so the
-            pre- and post-reshard capacity can be compared.
-        reshard_to: the shard count the live reshard resizes to — above
-            ``shards`` grows, below it shrinks (evacuate + retire); it must
-            differ from ``shards`` and be at least 1.
         concurrent: drive ops as overlapping tasks on the discrete-event
             loop instead of serially. Each op arrives at its own simulated
             time (Poisson arrivals at ``arrival_rate``) and runs as a
@@ -361,12 +335,12 @@ class MultiClientWorkload:
                  seed: int = 2022, batched: bool = True, batch_size: int = 128,
                  shards: int = 1, service_time: float = 0.0,
                  rules: tuple = (), events: tuple = (), rpc_attempts: int = 3,
-                 reshard_at_op: int | None = None, reshard_to: int = 0,
                  concurrent: bool = False, arrival_rate: float = 0.0,
                  op_timeout: float = 0.25, arrival_phases: tuple = (),
                  autoscale_policy=None, parallel: bool = False,
                  workers: int = 4):
         from repro.sim.drivers import DRIVERS
+        from repro.sim.harness import check_run_shape
 
         if app not in DRIVERS:
             raise ValueError(f"unknown workload app {app!r} "
@@ -375,28 +349,13 @@ class MultiClientWorkload:
             raise ValueError("a workload needs at least one client and one op")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if shards < 1:
-            raise ValueError("a workload needs at least one shard")
-        if service_time < 0:
-            raise ValueError("service_time cannot be negative")
-        if reshard_at_op is not None:
-            if not 1 <= reshard_at_op < num_clients * ops_per_client:
-                raise ValueError("reshard_at_op must fall inside the run "
-                                 "(after the first op, before the last)")
-            if reshard_to == shards or reshard_to < 1:
-                raise ValueError("reshard_to must differ from the starting "
-                                 "shard count and be at least 1")
-        if concurrent and arrival_rate <= 0:
-            raise ValueError("concurrent mode needs a positive arrival_rate")
         if op_timeout <= 0:
             raise ValueError("op_timeout must be positive")
         arrival_phases = tuple(arrival_phases)
-        if arrival_phases:
-            if not concurrent:
-                raise ValueError("arrival_phases only shape concurrent runs")
-            from repro.sim.harness import check_arrival_phases
-
-            check_arrival_phases(arrival_phases, num_clients * ops_per_client)
+        check_run_shape(num_clients * ops_per_client, shards=shards,
+                        service_time=service_time, concurrent=concurrent,
+                        arrival_rate=arrival_rate,
+                        arrival_phases=arrival_phases, events=events)
         if autoscale_policy is not None and not concurrent:
             raise ValueError("the autoscaler samples a live event loop; "
                              "it needs concurrent mode")
@@ -417,10 +376,10 @@ class MultiClientWorkload:
             if service_time > 0:
                 raise ValueError("service_time is a simulated-clock model; "
                                  "parallel workers take real wall-clock time")
-            if reshard_at_op is not None or autoscale_policy is not None:
-                raise ValueError("live resharding and autoscaling migrate "
-                                 "state the parallel workers own; run them "
-                                 "on the discrete-event engine")
+            if autoscale_policy is not None:
+                raise ValueError("autoscaling migrates state the parallel "
+                                 "workers own; run it on the discrete-event "
+                                 "engine")
         self.app = app
         self.num_clients = num_clients
         self.ops_per_client = ops_per_client
@@ -433,8 +392,6 @@ class MultiClientWorkload:
         self.rules = tuple(rules)
         self.events = tuple(events)
         self.rpc_attempts = rpc_attempts
-        self.reshard_at_op = reshard_at_op
-        self.reshard_to = reshard_to
         self.concurrent = concurrent
         self.arrival_rate = arrival_rate
         self.op_timeout = op_timeout
@@ -486,33 +443,33 @@ class MultiClientWorkload:
         therefore simulated latencies).
         """
         from repro.crypto import rng as crypto_rng
+        from repro.sim.drivers import make_driver
 
         with crypto_rng.deterministic(self.seed):
+            driver = make_driver(self.app, self.seed, self.total_ops,
+                                 shards=self.shards, regions=self.regions,
+                                 session="workload")
+            batched = self.batched and not self.concurrent
+            report = WorkloadReport(
+                app=self.app, num_clients=self.num_clients, ops=self.total_ops,
+                batched=batched, batch_size=self.batch_size if batched else 0,
+                shards=self.shards, service_time=self.service_time,
+                concurrent=self.concurrent, arrival_rate=self.arrival_rate,
+                parallel=self.parallel,
+                workers=self.workers if self.parallel else 0)
             if self.parallel:
-                return self._run_parallel()
-            return self._run()
+                self._run_parallel(driver, report)
+            else:
+                self._run(driver, report)
+        return report
 
-    def _run(self) -> WorkloadReport:
-        from repro.sim.drivers import make_driver
+    def _run(self, driver, report: WorkloadReport) -> None:
         from repro.sim.harness import OpLoop
 
-        driver = make_driver(self.app, self.seed, self.total_ops,
-                             shards=self.shards, regions=self.regions,
-                             session="workload")
         run = OpLoop.routed(driver, seed=self.seed, rules=self.rules,
                             events=self.events, rpc_attempts=self.rpc_attempts,
                             service_time=self.service_time, regions=self.regions,
                             count_failed_latency=False)
-        batched = self.batched and not self.concurrent
-        report = WorkloadReport(app=self.app, num_clients=self.num_clients,
-                                ops=self.total_ops, batched=batched,
-                                batch_size=self.batch_size if batched else 0,
-                                shards=self.shards, service_time=self.service_time,
-                                concurrent=self.concurrent,
-                                arrival_rate=self.arrival_rate)
-        if self.reshard_at_op is not None:
-            run.before_op = lambda op_index: self._reshard_segment(
-                run, report, op_index)
         if self.autoscale_policy is not None:
             run.ctx.enable_autoscaler(self.autoscale_policy)
 
@@ -527,51 +484,26 @@ class MultiClientWorkload:
         report.wall_seconds = time.perf_counter() - wall_started
         report.sim_seconds = run.clock.now() - run.started
         run.close(report)
+        for name, value in run.reshard_segment.items():
+            setattr(report, name, value)
         scaler = run.ctx.autoscaler
         if scaler is not None:
             report.autoscaled = any(d.fired for d in scaler.decisions)
             report.autoscale_reshards = [r.to_dict()
                                          for r in scaler.reshard_reports]
-        if run.latencies:
-            # Each op is attributed to the shard its routing key lands on
-            # under the *final* ring, so a resharded run's breakdown
-            # reflects the grown fleet.
-            report.latency = summarize([latency for _, latency in run.latencies])
-            per_shard: dict[int, list[float]] = {}
-            for op_index, latency in run.latencies:
-                shard = driver.plane.shard_for(driver.routing_key(op_index))
-                per_shard.setdefault(shard, []).append(latency)
-            report.shard_latency = {shard: summarize(samples) for shard, samples
-                                    in sorted(per_shard.items())}
-        report.consistency_issues = driver.consistency_issues()
-        return report
+        # Each op is attributed to the shard its routing key lands on under
+        # the *final* ring, so a resharded run's breakdown reflects the
+        # grown fleet.
+        per_shard: dict[int, list[float]] = {}
+        for op_index, latency in run.latencies:
+            shard = driver.plane.shard_for(driver.routing_key(op_index))
+            per_shard.setdefault(shard, []).append(latency)
+        report.shard_latency = {shard: summarize(samples) for shard, samples
+                                in sorted(per_shard.items())}
+        report.consistency_issues = _issues(
+            driver.finish(run.ctx.reshard_reports))
 
-    def _reshard_segment(self, run, report, op_index: int) -> None:
-        """Resize the plane live before ``reshard_at_op`` and record the
-        segment boundary: ops and sim time before the flip, and the
-        migration's own sim time."""
-        if op_index != self.reshard_at_op:
-            return
-        ctx = run.ctx
-        before = run.clock.now()
-        report.ops_before_reshard = run.succeeded
-        report.sim_seconds_before_reshard = before - run.started
-        reports, errors = len(ctx.reshard_reports), len(ctx.reshard_errors)
-        # A failed reshard is a run outcome, not a harness crash: the
-        # context records it and the load keeps flowing.
-        ctx.reshard(self.reshard_to)
-        report.reshard_summary = (ctx.reshard_reports[-1].to_dict()
-                                  if len(ctx.reshard_reports) > reports else {})
-        if len(ctx.reshard_errors) > errors:
-            report.reshard_summary["error"] = ctx.reshard_errors[-1]
-        report.reshard_sim_seconds = run.clock.now() - before
-        # Ring coverage, not attached-shard count: a shrink that left a
-        # retiring shard draining (pinned keys) has still committed its
-        # epoch and serves at the new width.
-        report.resharded = ctx.plane.ring.shard_count == self.reshard_to
-        report.reshard_to = self.reshard_to
-
-    def _run_parallel(self) -> WorkloadReport:
+    def _run_parallel(self, driver, report: WorkloadReport) -> None:
         """Drive the batched pipeline against true-parallel shard workers.
 
         The client side (this process) builds the same deterministic
@@ -584,16 +516,9 @@ class MultiClientWorkload:
         excluded from the measured window.
         """
         from repro.service.parallel import ParallelShardExecutor
-        from repro.sim.drivers import make_driver
         from repro.sim.harness import OpLoop
 
-        driver = make_driver(self.app, self.seed, self.total_ops,
-                             shards=self.shards, session="workload")
         plane = driver.plane
-        report = WorkloadReport(app=self.app, num_clients=self.num_clients,
-                                ops=self.total_ops, batched=True,
-                                batch_size=self.batch_size, shards=self.shards,
-                                parallel=True, workers=self.workers)
         executor = ParallelShardExecutor(self.app, self.seed, self.total_ops,
                                          self.shards, workers=self.workers)
         executor.start(plane)
@@ -603,12 +528,11 @@ class MultiClientWorkload:
             wall_started = time.perf_counter()
             run.run_spans(self.total_ops, self.batch_size)
             report.wall_seconds = time.perf_counter() - wall_started
-            # Consistency checks read the workers' state, so they must run
-            # while the plane is still executor-routed (the parent's own
-            # domain state never saw the traffic).
-            report.consistency_issues = driver.consistency_issues()
+            # finish() reads the workers' state, so it must run while the
+            # plane is still executor-routed (the parent's own domain state
+            # never saw the traffic). Parallel mode runs no epoch transitions.
+            report.consistency_issues = _issues(driver.finish([]))
             run.close(report)
         finally:
             plane.unroute()
             executor.shutdown()
-        return report

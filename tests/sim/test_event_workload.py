@@ -9,6 +9,7 @@ bit-identical reports under a fixed seed.
 
 import pytest
 
+from repro.sim.faults import ReshardService
 from repro.sim.metrics import LatencyStats
 from repro.sim.scenarios.matrix import default_matrix, reshard_matrix
 from repro.sim.scenarios.runner import ScenarioRunner
@@ -58,7 +59,7 @@ class TestConcurrentMode:
     def test_reshard_fires_with_ops_in_flight(self):
         report = run_workload(num_clients=80, arrival_rate=50_000.0,
                               service_time=0.0004,
-                              reshard_at_op=60, reshard_to=4)
+                              events=(ReshardService(at_op=60, shards=4),))
         assert report.resharded and report.reshard_to == 4
         assert report.in_flight_at_reshard > 10
         assert report.failed == 0
@@ -149,6 +150,14 @@ class TestScenarioValidation:
     def test_negative_service_time_rejected(self):
         with pytest.raises(ValueError, match="service_time"):
             Scenario(name="x", app="keybackup", service_time=-0.1)
+
+    def test_event_outside_the_run_rejected(self):
+        # ops=10 runs ops 0..9: an event at op 10 would never fire.
+        with pytest.raises(ValueError, match="ReshardService"):
+            Scenario(name="x", app="keybackup", shards=2,
+                     events=(ReshardService(at_op=10, shards=4),))
+        Scenario(name="x", app="keybackup", shards=2,
+                 events=(ReshardService(at_op=9, shards=4),))
 
 
 class TestLatencyStatsP99Required:

@@ -212,7 +212,7 @@ class TestReshardScenarios:
         # The epoch committed with every moving key pinned — nothing lost.
         assert driver.plane.epoch == 1
         assert ctx.reshard_reports[0].failed_keys
-        invariants = driver.finish(ctx)
+        invariants = driver.finish(ctx.reshard_reports)
         assert all(result.ok for result in invariants), [
             (result.name, result.detail) for result in invariants if not result.ok]
 

@@ -7,12 +7,14 @@ from repro.sim.faults import (
     AuditEpoch,
     AuditNow,
     AutoscaleEnabled,
+    CompromiseDomain,
     CrashParty,
     DropFault,
     DuplicateFault,
     ForgeEpochDigest,
     RecoverParty,
     ReorderFault,
+    ReshardService,
 )
 from repro.sim.scenarios import ScenarioRunner
 from repro.sim.scenarios.matrix import default_matrix
@@ -82,21 +84,30 @@ class TestCleanNetworkRuns:
 
 class TestLiveReshardWorkload:
     def test_rejects_bad_reshard_parameters(self):
-        with pytest.raises(ValueError):
-            MultiClientWorkload("prio", num_clients=10, reshard_at_op=0,
-                                reshard_to=4)
-        with pytest.raises(ValueError):
-            MultiClientWorkload("prio", num_clients=10, reshard_at_op=10,
-                                reshard_to=4)
-        with pytest.raises(ValueError):
+        # A reshard scheduled past the last op would never fire.
+        with pytest.raises(ValueError, match="ReshardService"):
             MultiClientWorkload("prio", num_clients=10, shards=2,
-                                reshard_at_op=5, reshard_to=2)
+                                events=(ReshardService(at_op=10, shards=4),))
+        # Resharding to the same width is a recorded run outcome, not a
+        # harness crash: the reshard fails and the load keeps flowing.
+        report = MultiClientWorkload(
+            "prio", num_clients=10, shards=2, rpc_attempts=1,
+            events=(ReshardService(at_op=5, shards=2),)).run()
+        assert "a reshard must change the shard count" in (
+            report.reshard_summary["error"])
+        assert report.succeeded == report.ops, report.failures[:3]
+        # Op 0 is a boundary like any other, as it is for scenario events.
+        report = MultiClientWorkload(
+            "prio", num_clients=10, shards=2, rpc_attempts=1,
+            events=(ReshardService(at_op=0, shards=4),)).run()
+        assert report.resharded and report.ops_before_reshard == 0
 
     @pytest.mark.parametrize("app", ["keybackup", "prio"])
     def test_batched_run_survives_a_mid_run_reshard(self, app):
         report = MultiClientWorkload(app, num_clients=24, batched=True,
                                      batch_size=8, shards=2, rpc_attempts=1,
-                                     reshard_at_op=12, reshard_to=4).run()
+                                     events=(ReshardService(at_op=12, shards=4),)
+                                     ).run()
         assert report.succeeded == report.ops, report.failures[:3]
         assert report.consistent, report.consistency_issues
         assert report.resharded and report.reshard_to == 4
@@ -114,7 +125,8 @@ class TestLiveReshardWorkload:
     def test_unbatched_run_reshards_at_the_exact_op(self):
         report = MultiClientWorkload("odoh", num_clients=8, batched=False,
                                      shards=2, rpc_attempts=1,
-                                     reshard_at_op=4, reshard_to=3).run()
+                                     events=(ReshardService(at_op=4, shards=3),)
+                                     ).run()
         assert report.succeeded == report.ops, report.failures[:3]
         assert report.consistent
         assert report.resharded and report.ops_before_reshard == 4
@@ -142,11 +154,30 @@ class TestLiveReshardWorkload:
         assert report.consistent
         assert any(shard >= 2 for shard in report.shard_latency), report.shard_latency
 
+    def test_from_scenario_reports_its_own_epoch_flip(self):
+        """A scenario's ReshardService event is the load run's reshard: the
+        report carries the segment figures, not just the grown plane."""
+        from repro.sim.scenarios.matrix import reshard_matrix
+
+        scenario = next(s for s in reshard_matrix()
+                        if s.name == "prio-reshard-under-load")
+        report = MultiClientWorkload.from_scenario(scenario, num_clients=12,
+                                                   batch_size=4).run()
+        assert report.resharded and report.reshard_to == 4
+        # The event at op 6 fires at the boundary of span [4, 8).
+        assert report.ops_before_reshard == 4
+        assert report.sim_seconds_before_reshard > 0
+        assert report.reshard_sim_seconds > 0
+        assert report.reshard_summary["new_shard_count"] == 4
+        assert report.pre_reshard_sim_ops_per_sec > 0
+        assert report.post_reshard_sim_ops_per_sec > 0
+
     def test_segment_throughput_appears_in_report_output(self):
         report = MultiClientWorkload("prio", num_clients=30, batched=True,
                                      batch_size=15, shards=2, rpc_attempts=1,
                                      service_time=0.001,
-                                     reshard_at_op=15, reshard_to=4).run()
+                                     events=(ReshardService(at_op=15, shards=4),)
+                                     ).run()
         assert report.pre_reshard_sim_ops_per_sec > 0
         assert report.post_reshard_sim_ops_per_sec > 0
         text = report.format()
@@ -198,6 +229,20 @@ class TestFaultComposition:
         report = workload.run()
         assert report.success_rate >= scenario.min_success_rate - 0.15
         assert report.consistent, report.consistency_issues
+
+    def test_failing_finish_invariant_is_a_consistency_issue(self):
+        """The driver's finish() invariants are the load run's end-state
+        check: stealing both custody shares a threshold of 2 needs fails
+        the secrecy invariant, and the report says so."""
+        report = MultiClientWorkload(
+            "threshold_sign", num_clients=4, batch_size=2, rpc_attempts=1,
+            events=(CompromiseDomain(at_op=2, domain_index=1),
+                    CompromiseDomain(at_op=2, domain_index=2))).run()
+        assert not report.consistent
+        assert report.consistency_issues == [
+            "stolen-shares-cannot-sign-below-threshold: 2 shares stolen — "
+            "at or above threshold 2"]
+        assert "CONSISTENCY: stolen-shares-cannot-sign" in report.format()
 
     def test_duplicate_storm_does_not_double_apply(self):
         scenario = next(s for s in default_matrix()

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.service.autoscaler import AutoscalerPolicy
-from repro.sim.faults import CrashParty, DropFault, RecoverParty
+from repro.sim.faults import CrashParty, DropFault, RecoverParty, ReshardService
 from repro.sim.workload import MultiClientWorkload
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -39,8 +39,9 @@ CASES = {
     "batched": dict(num_clients=24, batch_size=8, service_time=0.0005),
     "concurrent": dict(num_clients=24, **CONCURRENT),
     "reshard-batched": dict(num_clients=24, batch_size=8, service_time=0.0005,
-                            reshard_at_op=12, reshard_to=4),
-    "reshard-concurrent": dict(num_clients=30, reshard_at_op=15, reshard_to=4,
+                            events=(ReshardService(at_op=12, shards=4),)),
+    "reshard-concurrent": dict(num_clients=30,
+                               events=(ReshardService(at_op=15, shards=4),),
                                **CONCURRENT),
     "autoscale": dict(num_clients=48, concurrent=True, arrival_rate=60.0,
                       arrival_phases=((8, 900.0), (32, 20.0)),
