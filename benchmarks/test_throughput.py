@@ -397,7 +397,8 @@ def _pinned_wall_reference() -> float | None:
 
 
 def _measure_wall_arm(*, batched: bool, shards: int,
-                      parallel: bool = False) -> dict:
+                      parallel: bool = False,
+                      workers: int = WALL_WORKERS) -> dict:
     """Median-of-N wall rate for one arm of the wall series."""
     rates = []
     walls = []
@@ -408,7 +409,7 @@ def _measure_wall_arm(*, batched: bool, shards: int,
             rpc_attempts=1,
         )
         if parallel:
-            kwargs.update(parallel=True, workers=WALL_WORKERS)
+            kwargs.update(parallel=True, workers=workers)
         report = MultiClientWorkload(WALL_APP, **kwargs).run()
         assert report.succeeded == report.ops, (
             f"{WALL_APP} wall series "
@@ -417,7 +418,7 @@ def _measure_wall_arm(*, batched: bool, shards: int,
         )
         assert report.consistent, report.consistency_issues
         if parallel:
-            assert report.parallel and report.workers == WALL_WORKERS
+            assert report.parallel and report.workers == workers
             # Parallel runs never report simulated time: the workers do not
             # share a simulated clock, and the wall clock already contains
             # the parallelism for real.
@@ -448,6 +449,8 @@ def test_wall_throughput_parallel():
     serial_batched = _measure_wall_arm(batched=True, shards=WALL_SHARDS)
     parallel = _measure_wall_arm(batched=True, shards=WALL_SHARDS,
                                  parallel=True)
+    parallel_one = _measure_wall_arm(batched=True, shards=WALL_SHARDS,
+                                     parallel=True, workers=1)
     speedup = parallel["ops_per_sec"] / serial["ops_per_sec"]
     _WALL[WALL_APP] = {
         "shards": WALL_SHARDS,
@@ -457,9 +460,17 @@ def test_wall_throughput_parallel():
         "serial": serial,
         "serial_batched": serial_batched,
         "parallel": parallel,
+        "parallel_one_worker": parallel_one,
         "parallel_vs_serial": round(speedup, 2),
         "parallel_vs_serial_batched": round(
             parallel["ops_per_sec"] / serial_batched["ops_per_sec"], 2),
+        # Each gain isolates one cause: batching alone (same serial
+        # harness), and worker processes alone (same batched requests).
+        # Recorded, not gated.
+        "batching_gain": round(
+            serial_batched["ops_per_sec"] / serial["ops_per_sec"], 2),
+        "parallelism_gain": round(
+            parallel["ops_per_sec"] / parallel_one["ops_per_sec"], 2),
         "note": ("wall-clock only; on a 1-CPU host parallel ~= serial_batched "
                  "(workers time-slice one core) and the vs-serial win comes "
                  "from batching; extra cores raise only the parallel arm"),

@@ -19,7 +19,9 @@ send/receive instead of pumping:
   and p99-under-load measurable at all;
 * responses are routed to waiting tasks by request id through a delivery
   observer, so a payload wakes exactly the task whose batch it answers — no
-  O(tasks) broadcast per delivery;
+  O(tasks) broadcast per delivery. The observer finds the owning batch in its
+  endpoint's ``rpc_batches`` table, the same id -> batch table the
+  synchronous drain files into (see :mod:`repro.net.rpc`);
 * everything is deterministic under a fixed seed: the ready queue is FIFO,
   timers tie-break by creation order, and the optional event ``trace``
   records every scheduling decision so two identically seeded runs can be
@@ -59,8 +61,8 @@ class Sleep:
 class WaitBatch:
     """Yielded by a task to block on an in-flight RPC batch.
 
-    ``batch`` is a :class:`~repro.net.rpc.PendingRpcBatch` (anything with a
-    ``client``, a ``pending`` id set, and a ``found`` response dict works).
+    ``batch`` is a :class:`~repro.net.rpc.PendingRpcBatch`: the delivery
+    observer finds it by request id in its endpoint's ``rpc_batches`` table.
     The task resumes with ``"complete"`` once every pending response arrived,
     ``"timeout"`` after ``timeout`` simulated seconds, or ``"idle"`` if the
     whole simulation ran out of events first (lost traffic, no timers) — the
@@ -109,9 +111,9 @@ class EventLoop:
         self._ready: deque = deque()  # (task, wake value)
         self._timers: list = []  # heap of (at, seq, task, generation, kind)
         self._seq = itertools.count()
-        # client endpoint address -> {request id: (batch, task)}; filled by
-        # WaitBatch registration, consumed by the delivery observer.
-        self._waiters: dict[str, dict] = {}
+        # batch -> the task blocked on it, for wake-ups. Which batch a
+        # response belongs to is the endpoint's rpc_batches table's business.
+        self._waiting: dict[object, SimTask] = {}
         self._events = 0
         network.add_delivery_observer(self._on_delivery)
 
@@ -189,28 +191,16 @@ class EventLoop:
             self._trace("ready", task.name)
             self._wake(task, "complete")
             return
-        waiters = self._waiters.setdefault(client.endpoint.address, {})
-        for request_id in batch.pending:
-            waiters[request_id] = (batch, task)
+        self._waiting[batch] = task
         task.waiting_batch = batch
         self._trace("wait", task.name)
         self._schedule(task, self.clock.now() + max(0.0, command.timeout),
                        "timeout")
 
     def _deregister(self, task: SimTask) -> None:
-        batch = task.waiting_batch
-        if batch is None:
-            return
-        address = batch.client.endpoint.address
-        waiters = self._waiters.get(address)
-        if waiters:
-            for request_id in list(batch.pending):
-                entry = waiters.get(request_id)
-                if entry is not None and entry[0] is batch:
-                    waiters.pop(request_id)
-            if not waiters:
-                self._waiters.pop(address, None)
-        task.waiting_batch = None
+        if task.waiting_batch is not None:
+            self._waiting.pop(task.waiting_batch, None)
+            task.waiting_batch = None
 
     # ------------------------------------------------------------------
     # Event sources: deliveries and timers
@@ -268,24 +258,28 @@ class EventLoop:
         return woke
 
     def _on_delivery(self, message: Message) -> None:
-        """Route a delivered payload's response frames to waiting batches.
+        """File a delivered payload's response frames into their batches.
 
         Runs for *every* delivery on the network (the transport's delivery
-        observer), whichever driver performed it. Frames whose request id a
-        registered batch is waiting on go straight into that batch's
-        ``found`` — and if the payload is fully consumed, the parked message
-        is removed so the synchronous drain path never re-decodes it. A task
-        wakes the moment its batch's pending set empties.
+        observer), whichever driver performed it, while any task waits on a
+        batch. Each frame whose request id an in-flight batch on the
+        receiving endpoint owns goes straight into that batch's ``found`` —
+        and if every frame is claimed, the parked message is removed so the
+        synchronous drain path never re-decodes it. A task wakes the moment
+        the batch it waits on has no pending id left.
         """
-        waiters = self._waiters.get(message.destination)
-        if not waiters:
+        if not self._waiting:
+            return
+        endpoint = self.network._endpoints.get(message.destination)
+        batches = getattr(endpoint, "rpc_batches", None)
+        if not batches:
             return
         try:
             frames = split_frames(message.payload)
         except DecodingError:
             return
         completed_tasks: list[SimTask] = []
-        matched = 0
+        claimed = 0
         for frame in frames:
             try:
                 response = decode(frame)
@@ -293,22 +287,18 @@ class EventLoop:
                 continue
             request_id = (response.get("id")
                           if isinstance(response, dict) else None)
-            entry = waiters.pop(request_id, None) if request_id is not None else None
-            if entry is None:
+            batch = batches.get(request_id)
+            if batch is None:
                 continue
-            batch, task = entry
-            batch.found[request_id] = response
-            batch.pending.discard(request_id)
-            matched += 1
-            if not batch.pending and not task.done:
-                completed_tasks.append(task)
-        if matched == len(frames):
-            endpoint = self.network._endpoints.get(message.destination)
-            if (endpoint is not None and endpoint.inbox
-                    and endpoint.inbox[-1] is message):
-                endpoint.inbox.pop()
-        if not waiters:
-            self._waiters.pop(message.destination, None)
+            batch.file(request_id, response)
+            claimed += 1
+            if not batch.pending:
+                task = self._waiting.pop(batch, None)
+                if task is not None and not task.done:
+                    completed_tasks.append(task)
+        if (claimed == len(frames) and endpoint.inbox
+                and endpoint.inbox[-1] is message):
+            endpoint.inbox.pop()
         for task in completed_tasks:
             self._trace("ready", task.name)
             self._wake(task, "complete")

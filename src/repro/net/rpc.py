@@ -367,6 +367,14 @@ class RpcClient:
         if not hasattr(endpoint, "rpc_completed_ids"):
             endpoint.rpc_completed_ids = BoundedIdSet()
         self._completed: BoundedIdSet = endpoint.rpc_completed_ids
+        # In-flight batches on this endpoint, by request id. A shard's domain
+        # clients share one endpoint, so one drain sees every sibling's
+        # responses; filing each into the batch that owns it (here or in the
+        # event loop's delivery observer) decodes every frame once. Batches
+        # join in begin_many and leave when they resolve.
+        if not hasattr(endpoint, "rpc_batches"):
+            endpoint.rpc_batches = {}
+        self._batches: dict[int, PendingRpcBatch] = endpoint.rpc_batches
 
     def call(self, method: str, params=None):
         """Call ``method`` with ``params`` and return the decoded result.
@@ -470,13 +478,17 @@ class RpcClient:
     def _drain_inbox(self, pending: set, found: dict) -> None:
         """Scan parked messages for responses to the ``pending`` request ids.
 
-        Matched responses move from ``pending`` into ``found``. A message is
-        put back on the inbox **at most once** — even when it carries several
-        frames for other callers — so a batched payload is never re-queued as
-        duplicates (each re-queued copy used to be re-processed as if it were
-        fresh traffic). Duplicates of responses already matched or already
-        completed on this endpoint are discarded.
+        Each frame is decoded once. Matched responses move from ``pending``
+        into ``found``; a response that another in-flight batch on this
+        endpoint owns is filed straight into that batch, so the sibling
+        resolves without decoding it again. Duplicates of responses already
+        matched or already completed on this endpoint are discarded. A
+        message with a frame nobody here owns is put back on the inbox **at
+        most once** — even when it carries several such frames — so a
+        batched payload is never re-queued as duplicates (each re-queued copy
+        used to be re-processed as if it were fresh traffic).
         """
+        batches = self._batches
         requeue = []
         while True:
             message = self.endpoint.receive()
@@ -496,6 +508,8 @@ class RpcClient:
                 if request_id is not None and request_id in pending:
                     found[request_id] = response
                     pending.discard(request_id)
+                elif request_id in batches:
+                    batches[request_id].file(request_id, response)
                 elif request_id is not None and (
                         request_id in found or request_id in self._completed):
                     # A duplicate of an already-answered request; discard
@@ -528,6 +542,14 @@ class PendingRpcBatch:
         self.pending = {request_id for request_id, _, _ in requests}
         self.found: dict[int, dict] = {}
         self._resolved = False
+        for request_id in self.pending:
+            client._batches[request_id] = self
+
+    def file(self, request_id: int, response: dict) -> None:
+        """Record ``response`` if it answers a still-pending request."""
+        if request_id in self.pending:
+            self.found[request_id] = response
+            self.pending.discard(request_id)
 
     def collect(self, attempts: int = 3, return_errors: bool = False):
         """Gather this batch's results (pump, drain, retransmit as needed).
@@ -587,9 +609,7 @@ class PendingRpcBatch:
                         if request_id in self.pending
                     ))
                 yield WaitBatch(self, timeout)
-            for request_id, _, _ in self.requests:
-                client._completed.add(request_id)
-            self._resolved = True
+            self._finish()
 
     def _resolve(self, attempts: int) -> None:
         client = self.client
@@ -606,6 +626,12 @@ class PendingRpcBatch:
                 ))
             client.network.run_until_idle()
             client._drain_inbox(self.pending, self.found)
+        self._finish()
+
+    def _finish(self) -> None:
+        """Mark every id completed and leave the endpoint's batch table."""
+        client = self.client
         for request_id, _, _ in self.requests:
             client._completed.add(request_id)
+            client._batches.pop(request_id, None)
         self._resolved = True

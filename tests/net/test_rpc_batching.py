@@ -2,15 +2,16 @@
 
 Covers the satellite checklist for the throughput PR: out-of-order response
 matching, partial-batch retransmission under the PR-1 fault rules, at-most-once
-dedup of a retransmitted batch, the unrelated-message requeue regression, and
-the bounded completed-id set.
+dedup of a retransmitted batch, the unrelated-message requeue regression, the
+bounded completed-id set, and decoding each response frame once when clients
+share an endpoint.
 """
 
 import pytest
 
 from repro.errors import RpcError, TimeoutError
 from repro.net.rpc import BoundedIdSet, RpcClient, RpcServer
-from repro.net.transport import Network
+from repro.net.transport import FaultDecision, Network
 from repro.sim.faults import DropFault, DuplicateFault, FaultPlan, ReorderFault
 from repro.wire.codec import decode, encode
 from repro.wire.framing import frame_message, split_frames
@@ -301,6 +302,131 @@ class TestBeginMany:
             assert handle.collect() == list(range(5))
         elapsed = network.clock.now() - started
         assert 0.05 <= elapsed < 0.1, elapsed  # overlapped, not serialized
+
+
+def count_response_decodes(monkeypatch) -> list:
+    """Count the RPC layer's decodes of response frames (no ``method``)."""
+    import repro.net.rpc as rpc_module
+
+    decoded = []
+    real_decode = rpc_module.decode
+
+    def counting_decode(data):
+        value = real_decode(data)
+        if isinstance(value, dict) and "method" not in value:
+            decoded.append(value.get("id"))
+        return value
+
+    monkeypatch.setattr(rpc_module, "decode", counting_decode)
+    return decoded
+
+
+def make_shared_endpoint(servers: int):
+    """``servers`` echo servers and one client per server on one endpoint."""
+    network = Network()
+    client_endpoint = network.endpoint("client")
+    clients = []
+    for index in range(servers):
+        server = RpcServer(network.endpoint(f"server-{index}"))
+        server.register("echo", lambda params: params)
+        clients.append(RpcClient(network, client_endpoint, f"server-{index}"))
+    return network, client_endpoint, clients
+
+
+class TestDecodeOnce:
+    """Clients sharing an endpoint decode each response frame once.
+
+    The first drain files every frame into the batch that owns its request
+    id, so a sibling batch resolves without decoding anything again.
+    """
+
+    def test_four_batches_on_one_endpoint_decode_four_frames(self, monkeypatch):
+        network, client_endpoint, clients = make_shared_endpoint(4)
+        handles = [client.begin_many([("echo", index)])
+                   for index, client in enumerate(clients)]
+        decoded = count_response_decodes(monkeypatch)
+        for index, handle in enumerate(handles):
+            assert handle.collect() == [index]
+        assert len(decoded) == 4, decoded
+        assert client_endpoint.rpc_batches == {}
+        assert not client_endpoint.inbox
+
+    def test_first_drain_files_sibling_responses(self):
+        network, _, clients = make_shared_endpoint(2)
+        first, second = (client.begin_many([("echo", index)])
+                         for index, client in enumerate(clients))
+        assert first.collect() == [0]
+        assert not second.pending
+        assert second.collect() == [1]
+
+
+class TestBatchTableEmptiesOnResolve:
+    """Every resolved batch leaves its endpoint's id table."""
+
+    def test_clean_collect(self):
+        _, server, client = make_rpc_pair()
+        server.register("echo", lambda params: params)
+        handle = client.begin_many([("echo", i) for i in range(3)])
+        assert len(client.endpoint.rpc_batches) == 3
+        assert handle.collect() == [0, 1, 2]
+        assert client.endpoint.rpc_batches == {}
+
+    def test_collect_with_dropped_response(self):
+        network, server, client = make_rpc_pair()
+        server.register("echo", lambda params: params)
+        network.add_fault_hook(
+            lambda message: FaultDecision(drop=True)
+            if message.destination == "client" else None)
+        results = client.begin_many([("echo", 1)]).collect(
+            attempts=2, return_errors=True)
+        assert isinstance(results[0], TimeoutError)
+        assert client.endpoint.rpc_batches == {}
+
+    def test_call_many_timeout(self):
+        network = Network()
+        network.endpoint("server")  # registered but never answers
+        client = RpcClient(network, network.endpoint("client"), "server")
+        with pytest.raises(TimeoutError):
+            client.call_many([("ping", None)], attempts=2)
+        assert client.endpoint.rpc_batches == {}
+
+    def test_wait_event_resolution(self):
+        from repro.net.eventloop import EventLoop
+
+        network, server, client = make_rpc_pair()
+        server.register("echo", lambda params: params)
+        results = []
+
+        def task(tag):
+            batch = client.begin_many([("echo", tag)])
+            yield from batch.wait_event(timeout=0.05)
+            results.append(batch.collect())
+
+        loop = EventLoop(network)
+        loop.spawn(task("a"))
+        loop.spawn(task("b"))
+        loop.run()
+        assert sorted(results) == [["a"], ["b"]]
+        assert client.endpoint.rpc_batches == {}
+
+    def test_batched_workload_run(self, monkeypatch):
+        from repro.sim import MultiClientWorkload
+
+        endpoints = []
+        real_init = RpcClient.__init__
+
+        def recording_init(self, network, endpoint, server_address):
+            real_init(self, network, endpoint, server_address)
+            endpoints.append(endpoint)
+
+        monkeypatch.setattr(RpcClient, "__init__", recording_init)
+        report = MultiClientWorkload("keybackup", num_clients=16,
+                                     ops_per_client=1, batched=True,
+                                     batch_size=8, shards=2,
+                                     rpc_attempts=1).run()
+        assert report.succeeded == report.ops
+        assert endpoints
+        assert all(endpoint.rpc_batches == {} for endpoint in endpoints)
 
 
 class TestBoundedIdSet:

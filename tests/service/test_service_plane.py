@@ -235,6 +235,37 @@ class TestCapacityModel:
         assert sim_time(1) / sim_time(4) >= 2.0
 
 
+class TestSharedClientEndpoint:
+    def test_scatter_decodes_each_response_frame_once(self, monkeypatch):
+        """A shard's domain clients share one endpoint; the first batch's
+        drain files its siblings' responses, so none is decoded twice."""
+        import repro.net.rpc as rpc_module
+
+        plane = make_plane(shards=1, domains=4)
+        network = Network(clock=plane.clock, default_latency=lan_profile())
+        plane.route_via_network(network, attempts=1)
+        decoded = []
+        real_decode = rpc_module.decode
+
+        def counting_decode(data):
+            value = real_decode(data)
+            if isinstance(value, dict) and "method" not in value:
+                decoded.append(value.get("id"))
+            return value
+
+        monkeypatch.setattr(rpc_module, "decode", counting_decode)
+        sent_before = network.stats.messages_sent
+        outcomes = plane.scatter([
+            (f"user-{i}", domain, "put", {"key": f"user-{i}", "value": i})
+            for i in range(8) for domain in range(4)])
+        assert all(not isinstance(outcome, Exception) for outcome in outcomes)
+        batches = (network.stats.messages_sent - sent_before) // 2
+        assert batches == 4
+        assert len(decoded) == batches, decoded
+        endpoint = network._endpoints[plane.shards[0].client_address]
+        assert endpoint.rpc_batches == {}
+
+
 class TestServiceClient:
     def test_audit_policies(self):
         plane = make_plane(shards=2)
